@@ -6,7 +6,7 @@ import repro.exp.SparkScaleExp
 /** spark-submit entrypoint for the distributed scale-out experiment. */
 object SparkScale {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("les3-spark-scale")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

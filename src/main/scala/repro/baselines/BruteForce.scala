@@ -1,8 +1,7 @@
 package repro.baselines
 
-import repro.core.{Hit, KnnResult, RangeResult, SearchStats, SetOps}
+import repro.core.{Hit, SearchResult, SearchStats, SetOps, SimilarityIndex, TopK}
 import repro.io.IOModel
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** The brute-force comparator of §7.6: one linear scan of the database per
@@ -10,13 +9,13 @@ import scala.collection.mutable.ArrayBuffer
   * access pattern that makes brute force surprisingly competitive on HDDs
   * (Fig. 13).
   */
-final class BruteForce(db: IndexedSeq[Array[Int]],
+final class BruteForce(db: collection.IndexedSeq[Array[Int]],
                        measure: SetOps.Measure = SetOps.Jaccard,
-                       io: IOModel = IOModel.InMemory) {
+                       io: IOModel = IOModel.InMemory) extends SimilarityIndex {
 
   private val totalBytes: Long = db.iterator.map(s => io.dataBytes(s.length)).sum
 
-  def range(q: Array[Int], delta: Double): RangeResult = {
+  def range(q: Array[Int], delta: Double): SearchResult = {
     val hits = ArrayBuffer.empty[Hit]
     var sid = 0
     while (sid < db.length) {
@@ -24,19 +23,13 @@ final class BruteForce(db: IndexedSeq[Array[Int]],
       if (sim >= delta) hits += Hit(sid, sim)
       sid += 1
     }
-    RangeResult(hits, SearchStats(db.length, 0, 1, io.sequentialScan(totalBytes)))
+    SearchResult(hits, SearchStats(db.length, 0, 1, io.sequentialScan(totalBytes)))
   }
 
-  def knn(q: Array[Int], k: Int): KnnResult = {
-    val heap = mutable.PriorityQueue.empty[Hit](Ordering.by(h => -h.sim))
+  def knn(q: Array[Int], k: Int): SearchResult = {
+    val top = new TopK(k)
     var sid = 0
-    while (sid < db.length) {
-      val sim = measure.sim(q, db(sid))
-      if (heap.size < k) heap.enqueue(Hit(sid, sim))
-      else if (sim > heap.head.sim) { heap.dequeue(); heap.enqueue(Hit(sid, sim)) }
-      sid += 1
-    }
-    KnnResult(ArrayBuffer.from(heap.dequeueAll.reverse),
-              SearchStats(db.length, 0, 1, io.sequentialScan(totalBytes)))
+    while (sid < db.length) { top.offer(sid, measure.sim(q, db(sid))); sid += 1 }
+    SearchResult(top.hits, SearchStats(db.length, 0, 1, io.sequentialScan(totalBytes)))
   }
 }

@@ -1,9 +1,8 @@
 package repro.baselines
 
-import repro.core.{Hit, KnnResult, RangeResult, SearchStats, SetOps}
+import repro.core.{Hit, SearchResult, SearchStats, SetOps, SimilarityIndex, TopK}
 import repro.io.IOModel
 import repro.rtree.RTree
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** DualTrans — the tree-based baseline (§7.6, after Zhang et al. [73]):
@@ -18,8 +17,9 @@ import scala.collection.mutable.ArrayBuffer
   * Small d ⇒ loose bounds; large d ⇒ heavily-overlapping MBRs — the
   * paper's explanation for DualTrans's weakness (§7.6) emerges naturally.
   */
-final class DualTrans(db: IndexedSeq[Array[Int]], val d: Int = 16,
-                      io: IOModel = IOModel.InMemory, fanout: Int = 32) {
+final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
+                      io: IOModel = IOModel.InMemory, fanout: Int = 32)
+    extends SimilarityIndex {
 
   private val nTokens: Int = {
     var max = -1
@@ -72,7 +72,7 @@ final class DualTrans(db: IndexedSeq[Array[Int]], val d: Int = 16,
     if (union <= 0) 1.0 else oUb.toDouble / union
   }
 
-  def range(q: Array[Int], delta: Double): RangeResult = {
+  def range(q: Array[Int], delta: Double): SearchResult = {
     val qVec = vec(q)
     val hits = ArrayBuffer.empty[Hit]
     var candidates = 0L
@@ -86,27 +86,24 @@ final class DualTrans(db: IndexedSeq[Array[Int]], val d: Int = 16,
         candidates += 1
         if (sim >= delta) hits += Hit(sid, sim)
       })
-    RangeResult(hits, SearchStats(candidates, nodes, 0, ioMs))
+    SearchResult(hits, SearchStats(candidates, nodes, 0, ioMs))
   }
 
-  def knn(q: Array[Int], k: Int): KnnResult = {
+  def knn(q: Array[Int], k: Int): SearchResult = {
+    val top = new TopK(k)
     val qVec = vec(q)
-    val heap = mutable.PriorityQueue.empty[Hit](Ordering.by(h => -h.sim))
     var candidates = 0L
     var nodes = 0L
     var ioMs = 0.0
     tree.bestFirst(
       jaccardUb(q, qVec, _),
-      continueWith = bound => heap.size < k || bound > heap.head.sim,
+      continueWith = bound => !top.full || bound > top.min,
       onNode = { n => nodes += 1; ioMs += io.randomAccess(io.indexBytes(nodeBytes(n))) },
       onLeafId = { sid =>
         ioMs += io.randomAccess(io.dataBytes(db(sid).length))
-        val sim = SetOps.jaccard(q, db(sid))
         candidates += 1
-        if (heap.size < k) heap.enqueue(Hit(sid, sim))
-        else if (sim > heap.head.sim) { heap.dequeue(); heap.enqueue(Hit(sid, sim)) }
+        top.offer(sid, SetOps.jaccard(q, db(sid)))
       })
-    KnnResult(ArrayBuffer.from(heap.dequeueAll.reverse),
-              SearchStats(candidates, nodes, 0, ioMs))
+    SearchResult(top.hits, SearchStats(candidates, nodes, 0, ioMs))
   }
 }

@@ -1,8 +1,7 @@
 package repro.baselines
 
-import repro.core.{Hit, KnnResult, RangeResult, SearchStats, SetOps}
+import repro.core.{Hit, SearchResult, SearchStats, SetOps, SimilarityIndex, TopK}
 import repro.io.IOModel
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** InvIdx — the inverted-index baseline (§7.6, after Wang et al. [67]):
@@ -20,7 +19,8 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Jaccard-specific (as is the paper's evaluation).
   */
-final class InvIdx(db: IndexedSeq[Array[Int]], io: IOModel = IOModel.InMemory) {
+final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.InMemory)
+    extends SimilarityIndex {
 
   private val nTokens: Int = {
     var max = -1
@@ -62,9 +62,9 @@ final class InvIdx(db: IndexedSeq[Array[Int]], io: IOModel = IOModel.InMemory) {
   private def prefixLen(qLen: Int, delta: Double): Int =
     math.min(qLen, math.max(1, qLen - math.ceil(delta * qLen).toInt + 1))
 
-  def range(q: Array[Int], delta: Double): RangeResult = {
+  def range(q: Array[Int], delta: Double): SearchResult = {
     require(delta > 0.0, "InvIdx range requires delta > 0")
-    if (q.isEmpty) return RangeResult(ArrayBuffer.empty, SearchStats(0, 0, 0, 0.0))
+    if (q.isEmpty) return SearchResult(ArrayBuffer.empty, SearchStats(0, 0, 0, 0.0))
     val qs = sortQuery(q)
     val p = prefixLen(qs.length, delta)
     val minLen = math.ceil(delta * qs.length).toInt
@@ -90,13 +90,15 @@ final class InvIdx(db: IndexedSeq[Array[Int]], io: IOModel = IOModel.InMemory) {
       }
       i += 1
     }
-    RangeResult(hits, SearchStats(candidates, 0, 0, ioMs))
+    SearchResult(hits, SearchStats(candidates, 0, 0, ioMs))
   }
 
+  def knn(q: Array[Int], k: Int): SearchResult = knn(q, k, z = 0.05)
+
   /** kNN via δ-decreasing filtering with step `z` (§7.6). */
-  def knn(q: Array[Int], k: Int, z: Double = 0.05): KnnResult = {
+  def knn(q: Array[Int], k: Int, z: Double): SearchResult = {
+    val top = new TopK(k)
     val qs = sortQuery(q)
-    val heap = mutable.PriorityQueue.empty[Hit](Ordering.by(h => -h.sim))
     val seen = new java.util.HashSet[Int]()
     var ioMs = 0.0
     var candidates = 0L
@@ -122,8 +124,7 @@ final class InvIdx(db: IndexedSeq[Array[Int]], io: IOModel = IOModel.InMemory) {
                 ioMs += io.randomAccess(io.dataBytes(len))
                 val sim = SetOps.jaccard(q, db(sid))
                 candidates += 1
-                if (heap.size < k) heap.enqueue(Hit(sid, sim))
-                else if (sim > heap.head.sim) { heap.dequeue(); heap.enqueue(Hit(sid, sim)) }
+                top.offer(sid, sim)
               }
             }
           }
@@ -132,14 +133,14 @@ final class InvIdx(db: IndexedSeq[Array[Int]], io: IOModel = IOModel.InMemory) {
       }
       // Terminate once the kth-best reaches the current δ: every unseen set
       // has similarity < δ.
-      if (heap.size >= k && heap.head.sim >= delta) done = true
+      if (top.full && top.min >= delta) done = true
       else if (delta <= 0.0 + 1e-12) {
         // δ exhausted: unseen sets share no token with Q (similarity 0);
         // fill the result with arbitrary unseen sets if still short.
         var sid = 0
-        while (heap.size < k && sid < db.length) {
+        while (!top.full && sid < db.length) {
           if (!seen.contains(sid)) {
-            heap.enqueue(Hit(sid, SetOps.jaccard(q, db(sid))))
+            top.offer(sid, SetOps.jaccard(q, db(sid)))
             candidates += 1
           }
           sid += 1
@@ -147,7 +148,6 @@ final class InvIdx(db: IndexedSeq[Array[Int]], io: IOModel = IOModel.InMemory) {
         done = true
       } else delta = math.max(0.0, delta - z)
     }
-    KnnResult(ArrayBuffer.from(heap.dequeueAll.reverse),
-              SearchStats(candidates, 0, 0, ioMs))
+    SearchResult(top.hits, SearchStats(candidates, 0, 0, ioMs))
   }
 }

@@ -6,38 +6,36 @@ import scala.collection.mutable.ArrayBuffer
 /** Hierarchical TGM (§5.2, evaluated in §7.7).
   *
   * The L2P cascade yields nested groupings; HTGM keeps a [[TGM]] per
-  * retained level plus the child links between consecutive levels. Search
-  * proceeds best-first through the hierarchy: a coarse group's bound is
-  * probed first and, only if it survives, the bounds of its children —
-  * so a pruned coarse group eliminates all verification *and all index
-  * probing* below it, which is exactly the trade-off Fig. 14 measures.
+  * retained level plus the child links between consecutive levels; the
+  * finest level is a flat [[Les3Index]], whose group verification HTGM
+  * reuses. Search proceeds best-first through the hierarchy: a coarse
+  * group's bound is probed first and, only if it survives, the bounds of
+  * its children — so a pruned coarse group eliminates all verification
+  * *and all index probing* below it, which is exactly the trade-off
+  * Fig. 14 measures.
   *
-  * @param levels     one grouping per retained level, coarse → fine; each
-  *                   must be a refinement of the previous
-  * @param levelTgms  the TGM of each level
+  * @param levelTgms  the TGM of each level; the last is `fine.tgm`
   * @param children   children(l)(g) = ids of level-(l+1) groups nested in
   *                   level-l group g
+  * @param fine       the flat engine over the finest level, which verifies
+  *                   the fine groups that survive
   */
-final class HTGM private (val levels: IndexedSeq[Grouping],
-                          val levelTgms: IndexedSeq[TGM],
+final class HTGM private (val levelTgms: IndexedSeq[TGM],
                           children: IndexedSeq[Array[Array[Int]]],
-                          db: IndexedSeq[Array[Int]],
-                          measure: SetOps.Measure) {
+                          fine: Les3Index) extends SimilarityIndex {
 
-  private val fine = levels.last
-  private val fineMembers = fine.members
-  private def lastLevel = levels.length - 1
+  private def lastLevel = levelTgms.length - 1
 
   /** kNN with hierarchical pruning; counts the same stats as [[Les3Index]]
     * (ubProbes counts cells probed across *all* levels).
     */
-  def knn(q: Array[Int], k: Int): KnnResult = {
+  def knn(q: Array[Int], k: Int): SearchResult = {
+    val top = new TopK(k)
     // Entries are (level, group, ub); fine-level entries get verified.
     final case class Entry(level: Int, g: Int, ub: Double)
     val pq = mutable.PriorityQueue.empty[Entry](Ordering.by(_.ub))
     var ubProbes = 0L
-    var candidates = 0L
-    var groupsRead = 0
+    var reads = SearchStats(0, 0, 0, 0.0)
     val t0 = levelTgms(0)
     var g = 0
     while (g < t0.nGroups) {
@@ -45,62 +43,35 @@ final class HTGM private (val levels: IndexedSeq[Grouping],
       pq.enqueue(Entry(0, g, t0.ub(q, g)))
       g += 1
     }
-    val heap = mutable.PriorityQueue.empty[Hit](Ordering.by(h => -h.sim))
     var done = false
     while (pq.nonEmpty && !done) {
       val e = pq.dequeue()
-      if (heap.size >= k && e.ub <= heap.head.sim) done = true
+      if (top.full && e.ub <= top.min) done = true
       else if (e.level < lastLevel) {
         val tgmNext = levelTgms(e.level + 1)
         for (child <- children(e.level)(e.g)) {
           ubProbes += q.length
           pq.enqueue(Entry(e.level + 1, child, tgmNext.ub(q, child)))
         }
-      } else {
-        groupsRead += 1
-        for (sid <- fineMembers(e.g)) {
-          val sim = measure.sim(q, db(sid))
-          candidates += 1
-          if (heap.size < k) heap.enqueue(Hit(sid, sim))
-          else if (sim > heap.head.sim) { heap.dequeue(); heap.enqueue(Hit(sid, sim)) }
-        }
-      }
+      } else reads = fine.verifyKnn(q, Array(e.g), Array(e.ub), top, reads)
     }
-    KnnResult(ArrayBuffer.from(heap.dequeueAll.reverse),
-              SearchStats(candidates, ubProbes, groupsRead, 0.0))
+    SearchResult(top.hits, reads.copy(ubProbes = ubProbes))
   }
 
   /** Range search with hierarchical pruning. */
-  def range(q: Array[Int], delta: Double): RangeResult = {
+  def range(q: Array[Int], delta: Double): SearchResult = {
     var ubProbes = 0L
-    var candidates = 0L
-    var groupsRead = 0
-    val hits = ArrayBuffer.empty[Hit]
     var frontier = Array.range(0, levelTgms(0).nGroups)
     var level = 0
-    while (level < levels.length) {
+    while (level < lastLevel) {
       val tgm = levelTgms(level)
-      val survivors = ArrayBuffer.empty[Int]
-      for (g <- frontier) {
-        ubProbes += q.length
-        if (tgm.ub(q, g) >= delta) survivors += g
-      }
-      if (level == lastLevel) {
-        for (g <- survivors) {
-          groupsRead += 1
-          for (sid <- fineMembers(g)) {
-            val sim = measure.sim(q, db(sid))
-            candidates += 1
-            if (sim >= delta) hits += Hit(sid, sim)
-          }
-        }
-        frontier = Array.empty
-      } else {
-        frontier = survivors.toArray.flatMap(children(level)(_))
-      }
+      ubProbes += frontier.length.toLong * q.length
+      frontier = frontier.filter(tgm.ub(q, _) >= delta).flatMap(children(level)(_))
       level += 1
     }
-    RangeResult(hits, SearchStats(candidates, ubProbes, groupsRead, 0.0))
+    val hits = ArrayBuffer.empty[Hit]
+    val stats = fine.verifyRange(q, frontier, delta, hits, SearchStats(0, ubProbes, 0, 0.0))
+    SearchResult(hits, stats)
   }
 }
 
@@ -109,10 +80,11 @@ object HTGM {
   /** Build from nested groupings (coarse first). Verifies nesting: every
     * fine group must lie entirely inside one group of the previous level.
     */
-  def build(db: IndexedSeq[Array[Int]], levels: Seq[Grouping],
+  def build(db: collection.IndexedSeq[Array[Int]], levels: Seq[Grouping],
             measure: SetOps.Measure = SetOps.Jaccard): HTGM = {
     require(levels.nonEmpty, "need at least one level")
-    val tgms = levels.map(TGM.build(db, _, measure)).toIndexedSeq
+    val fine = new Les3Index(db, levels.last, measure)
+    val tgms = levels.init.map(TGM.build(db, _, measure)).toIndexedSeq :+ fine.tgm
     val children: IndexedSeq[Array[Array[Int]]] =
       (if (levels.length < 2) Iterator.empty[Seq[Grouping]] else levels.sliding(2)).map {
         case Seq(coarse, fineG) =>
@@ -131,6 +103,6 @@ object HTGM {
           for (f <- 0 until fineG.nGroups if parentOf(f) >= 0) buckets(parentOf(f)) += f
           buckets.map(_.toArray)
       }.toIndexedSeq
-    new HTGM(levels.toIndexedSeq, tgms, children, db, measure)
+    new HTGM(tgms, children, fine)
   }
 }

@@ -23,9 +23,36 @@ final case class SearchStats(candidates: Long, ubProbes: Long, groupsRead: Int, 
 /** One search hit: set id + its similarity to the query. */
 final case class Hit(sid: Int, sim: Double)
 
-final case class RangeResult(hits: ArrayBuffer[Hit], stats: SearchStats)
-/** kNN hits sorted by descending similarity. */
-final case class KnnResult(hits: ArrayBuffer[Hit], stats: SearchStats)
+/** Hits of one query (kNN hits sorted by descending similarity) + its stats. */
+final case class SearchResult(hits: ArrayBuffer[Hit], stats: SearchStats)
+
+/** An exact in-memory engine: range (Definition 2.2) and kNN (Definition 2.1). */
+trait SimilarityIndex {
+  def range(q: Array[Int], delta: Double): SearchResult
+  def knn(q: Array[Int], k: Int): SearchResult
+}
+
+/** The k most similar hits offered so far — the kNN accumulator of every
+  * engine. A hit displaces the current kth-best only if strictly more
+  * similar: a set tying the kth-best is interchangeable with it under
+  * Definition 2.1.
+  */
+final class TopK(k: Int) {
+  require(k >= 1, s"kNN needs k >= 1, got k = $k")
+  // Min-heap on similarity: once full, its head is the kth-best.
+  private val heap = mutable.PriorityQueue.empty[Hit](Ordering.by((h: Hit) => -h.sim))
+
+  def full: Boolean = heap.size >= k
+  /** The kth-best similarity so far; defined once [[full]]. */
+  def min: Double = heap.head.sim
+
+  def offer(sid: Int, sim: Double): Unit =
+    if (heap.size < k) heap.enqueue(Hit(sid, sim))
+    else if (sim > heap.head.sim) { heap.dequeue(); heap.enqueue(Hit(sid, sim)) }
+
+  /** The kept hits, sorted by descending similarity. */
+  def hits: ArrayBuffer[Hit] = ArrayBuffer.from(heap.clone().dequeueAll.reverse)
+}
 
 /** The LES³ in-memory engine: a partitioned database + its [[TGM]], with the
   * filter-and-verify algorithms of §3.1/§6 and the update handling of §6.
@@ -34,9 +61,9 @@ final case class KnnResult(hits: ArrayBuffer[Hit], stats: SearchStats)
   * §7.6), so fetching a candidate group costs one random access of the
   * group's byte footprint under `io`.
   */
-final class Les3Index(initialDb: IndexedSeq[Array[Int]], grouping: Grouping,
+final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Grouping,
                       val measure: SetOps.Measure = SetOps.Jaccard,
-                      val io: IOModel = IOModel.InMemory) {
+                      val io: IOModel = IOModel.InMemory) extends SimilarityIndex {
 
   /** Mutable database — §6 allows insertions after the index is built. */
   val db: ArrayBuffer[Array[Int]] = ArrayBuffer.from(initialDb)
@@ -46,7 +73,6 @@ final class Les3Index(initialDb: IndexedSeq[Array[Int]], grouping: Grouping,
   val tgm: TGM = TGM.build(initialDb, grouping, measure)
 
   def nSets: Int = db.length
-  def nGroups: Int = tgm.nGroups
 
   private def groupBytes(g: Int): Long = {
     var total = 0L
@@ -56,18 +82,18 @@ final class Les3Index(initialDb: IndexedSeq[Array[Int]], grouping: Grouping,
     total
   }
 
-  /** Range search (Definition 2.2): verify exactly the groups whose upper
-    * bound reaches δ.
+  /** Probes the bound of each group in `gs` and reads the non-empty ones
+    * that reach δ: members with sim ≥ δ join `hits`. Returns `s` plus the
+    * probes and reads.
     */
-  def range(q: Array[Int], delta: Double): RangeResult = {
-    val hits = ArrayBuffer.empty[Hit]
+  private[core] def verifyRange(q: Array[Int], gs: Array[Int], delta: Double,
+                                hits: ArrayBuffer[Hit], s: SearchStats): SearchStats = {
     var candidates = 0L
-    var ubProbes = 0L
     var groupsRead = 0
     var ioMs = 0.0
-    var g = 0
-    while (g < tgm.nGroups) {
-      ubProbes += q.length
+    var j = 0
+    while (j < gs.length) {
+      val g = gs(j)
       if (tgm.ub(q, g) >= delta && members(g).nonEmpty) {
         groupsRead += 1
         ioMs += io.randomAccess(groupBytes(g))
@@ -81,9 +107,52 @@ final class Les3Index(initialDb: IndexedSeq[Array[Int]], grouping: Grouping,
           i += 1
         }
       }
-      g += 1
+      j += 1
     }
-    RangeResult(hits, SearchStats(candidates, ubProbes, groupsRead, ioMs))
+    SearchStats(s.candidates + candidates, s.ubProbes + gs.length.toLong * q.length,
+                s.groupsRead + groupsRead, s.ioMs + ioMs)
+  }
+
+  /** Visits the groups `gs` in order for a kNN query, `ubs(j)` being the
+    * bound of `gs(j)`: stops at the first bound that cannot beat the
+    * kth-best similarity, and offers every member of the other non-empty
+    * groups to `top`. Returns `s` plus the reads.
+    */
+  private[core] def verifyKnn(q: Array[Int], gs: Array[Int], ubs: Array[Double],
+                              top: TopK, s: SearchStats): SearchStats = {
+    var candidates = 0L
+    var groupsRead = 0
+    var ioMs = 0.0
+    var j = 0
+    var done = false
+    while (j < gs.length && !done) {
+      val g = gs(j)
+      if (top.full && ubs(j) <= top.min) done = true
+      else if (members(g).nonEmpty) {
+        groupsRead += 1
+        ioMs += io.randomAccess(groupBytes(g))
+        val m = members(g)
+        var i = 0
+        while (i < m.length) {
+          val sid = m(i)
+          val sim = measure.sim(q, db(sid))
+          candidates += 1
+          top.offer(sid, sim)
+          i += 1
+        }
+      }
+      j += 1
+    }
+    SearchStats(s.candidates + candidates, s.ubProbes, s.groupsRead + groupsRead, s.ioMs + ioMs)
+  }
+
+  /** Range search (Definition 2.2): verify exactly the groups whose upper
+    * bound reaches δ.
+    */
+  def range(q: Array[Int], delta: Double): SearchResult = {
+    val hits = ArrayBuffer.empty[Hit]
+    val stats = verifyRange(q, Array.range(0, tgm.nGroups), delta, hits, SearchStats(0, 0, 0, 0.0))
+    SearchResult(hits, stats)
   }
 
   /** kNN search (Definition 2.1): visit groups in descending-UB order,
@@ -92,41 +161,13 @@ final class Les3Index(initialDb: IndexedSeq[Array[Int]], grouping: Grouping,
     * sim ≤ UB(group) ≤ kth-best — a set tying the kth-best is
     * interchangeable with it under Definition 2.1, so the cut uses ≤.
     */
-  def knn(q: Array[Int], k: Int): KnnResult = {
+  def knn(q: Array[Int], k: Int): SearchResult = {
+    val top = new TopK(k)
     val n = tgm.nGroups
-    val ubs = new Array[Double](n)
-    var g = 0
-    while (g < n) { ubs(g) = tgm.ub(q, g); g += 1 }
+    val ubs = Array.tabulate(n)(tgm.ub(q, _))
     val order = Array.range(0, n).sortBy(g => -ubs(g))
-
-    // Min-heap of the best k sims seen so far.
-    val heap = mutable.PriorityQueue.empty[Hit](Ordering.by(h => -h.sim))
-    var candidates = 0L
-    var groupsRead = 0
-    var ioMs = 0.0
-    var oi = 0
-    var done = false
-    while (oi < n && !done) {
-      val gg = order(oi)
-      if (heap.size >= k && ubs(gg) <= heap.head.sim) done = true
-      else if (members(gg).nonEmpty) {
-        groupsRead += 1
-        ioMs += io.randomAccess(groupBytes(gg))
-        val m = members(gg)
-        var i = 0
-        while (i < m.length) {
-          val sid = m(i)
-          val sim = measure.sim(q, db(sid))
-          candidates += 1
-          if (heap.size < k) heap.enqueue(Hit(sid, sim))
-          else if (sim > heap.head.sim) { heap.dequeue(); heap.enqueue(Hit(sid, sim)) }
-          i += 1
-        }
-      }
-      oi += 1
-    }
-    val hits = ArrayBuffer.from(heap.dequeueAll.reverse)
-    KnnResult(hits, SearchStats(candidates, n.toLong * q.length, groupsRead, ioMs))
+    val stats = verifyKnn(q, order, order.map(ubs), top, SearchStats(0, n.toLong * q.length, 0, 0.0))
+    SearchResult(top.hits, stats)
   }
 
   /** Insert a new set (§6). The set joins the group with the highest

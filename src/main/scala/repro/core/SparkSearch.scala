@@ -47,13 +47,17 @@ object SparkSearch {
     tgm
   }
 
-  private def jaccardUdf = udf { (a: Seq[Int], b: Seq[Int]) =>
-    SetOps.jaccard(a.toArray, b.toArray)
+  private def simUdf(measure: SetOps.Measure) = udf { (a: Seq[Int], b: Seq[Int]) =>
+    measure.sim(a.toArray, b.toArray)
   }
 
+  /** Phase-1 coverage of [[knnSearch]], in multiples of k. */
+  private val KnnSlack = 3
+
   /** Distributed range search: the broadcast TGM prunes (query, group)
-    * pairs in a UDF; surviving pairs join the data on `gid` and a Jaccard
-    * UDF verifies candidates. Returns `(qid, sid, sim)` with sim ≥ δ.
+    * pairs in a UDF; surviving pairs join the data on `gid` and a UDF
+    * verifies candidates with the TGM's measure. Returns `(qid, sid, sim)`
+    * with sim ≥ δ.
     */
   def rangeSearch(grouped: DataFrame, queries: DataFrame, tgm: TGM,
                   delta: Double): DataFrame = {
@@ -68,20 +72,20 @@ object SparkSearch {
       .select(col("qid"), col("tokens").as("qtokens"),
               explode(candGroupsUdf(col("tokens"))).as("gid")))
       .join(grouped, "gid")
-      .withColumn("sim", jaccardUdf(col("qtokens"), col("tokens")))
+      .withColumn("sim", simUdf(tgm.measure)(col("qtokens"), col("tokens")))
       .filter(col("sim") >= delta)
       .select(col("qid"), col("sid"), col("sim"))
   }
 
   /** Exact distributed kNN, two phases:
-    *  1. per query, verify the top-UB groups holding ≥ `slack`·k sets to
+    *  1. per query, verify the top-UB groups holding ≥ 3k sets to
     *     obtain a lower bound λ_q (the kth-best similarity so far);
     *  2. verify every remaining group with UB ≥ λ_q.
     * Any unverified set has sim ≤ UB(group) < λ_q, so the merged top-k is
     * exact. Returns per-query hits sorted by descending similarity.
     */
   def knnSearch(grouped: DataFrame, queries: Array[(Long, Array[Int])], tgm: TGM,
-                k: Int, slack: Int = 3): Map[Long, Array[Hit]] = {
+                k: Int): Map[Long, Array[Hit]] = {
     val spark = grouped.sparkSession
     import spark.implicits._
     require(queries.nonEmpty)
@@ -92,13 +96,14 @@ object SparkSearch {
       qid -> Array.tabulate(tgm.nGroups)(g => tgm.ub(q, g))
     }.toMap
     val queryTokens = queries.toMap
+    val measure = tgm.measure
 
     def verify(pairs: Seq[(Long, Int)]): Map[Long, Seq[Hit]] = {
       if (pairs.isEmpty) return Map.empty
       val bcq = spark.sparkContext.broadcast(queryTokens)
       val pairsDf = pairs.toDF("qid", "gid")
       val simUdf = udf { (qid: Long, tokens: Seq[Int]) =>
-        SetOps.jaccard(bcq.value(qid), tokens.toArray)
+        measure.sim(bcq.value(qid), tokens.toArray)
       }
       broadcast(pairsDf)
         .join(grouped, "gid")
@@ -111,15 +116,18 @@ object SparkSearch {
         }
     }
 
-    def topK(hits: Seq[Hit]): Array[Hit] =
-      hits.sortBy(-_.sim).take(k).toArray
+    def topK(hits: Seq[Hit]): TopK = {
+      val top = new TopK(k)
+      hits.foreach(h => top.offer(h.sid, h.sim))
+      top
+    }
 
-    // Phase 1: highest-UB groups until ≥ slack·k sets are covered.
+    // Phase 1: highest-UB groups until ≥ 3k sets are covered.
     val phase1: Seq[(Long, Int)] = queries.toSeq.flatMap { case (qid, _) =>
       val order = Array.range(0, tgm.nGroups).sortBy(g => -ubs(qid)(g))
       var covered = 0
       val chosen = mutable.ArrayBuffer.empty[Int]
-      for (g <- order if covered < slack.toLong * k && tgm.groupSize(g) > 0) {
+      for (g <- order if covered < KnnSlack.toLong * k && tgm.groupSize(g) > 0) {
         chosen += g
         covered += tgm.groupSize(g)
       }
@@ -131,20 +139,19 @@ object SparkSearch {
 
     // Phase 2: all other groups whose UB could still beat λ_q.
     val phase2: Seq[(Long, Int)] = queries.toSeq.flatMap { case (qid, _) =>
-      val hits = phase1Hits.getOrElse(qid, Seq.empty)
-      val lambda = if (hits.size >= k) topK(hits).last.sim else -1.0
+      val top = topK(phase1Hits.getOrElse(qid, Seq.empty))
       val already = phase1Groups.getOrElse(qid, Set.empty)
       (0 until tgm.nGroups).filter { g =>
         // ties with the kth-best are interchangeable (Definition 2.1), so
         // only strictly-better bounds require verification
         !already.contains(g) && tgm.groupSize(g) > 0 &&
-          (hits.size < k || ubs(qid)(g) > lambda)
+          (!top.full || ubs(qid)(g) > top.min)
       }.map(qid -> _)
     }
     val phase2Hits = verify(phase2)
 
     queries.map { case (qid, _) =>
-      qid -> topK(phase1Hits.getOrElse(qid, Seq.empty) ++ phase2Hits.getOrElse(qid, Seq.empty))
+      qid -> topK(phase1Hits.getOrElse(qid, Seq.empty) ++ phase2Hits.getOrElse(qid, Seq.empty)).hits.toArray
     }.toMap
   }
 
@@ -154,7 +161,7 @@ object SparkSearch {
   def bruteForceRange(data: DataFrame, queries: DataFrame, delta: Double): DataFrame = {
     broadcast(queries.select(col("qid"), col("tokens").as("qtokens")))
       .crossJoin(data)
-      .withColumn("sim", jaccardUdf(col("qtokens"), col("tokens")))
+      .withColumn("sim", simUdf(SetOps.Jaccard)(col("qtokens"), col("tokens")))
       .filter(col("sim") >= delta)
       .select(col("qid"), col("sid"), col("sim"))
   }

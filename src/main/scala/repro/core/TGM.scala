@@ -80,7 +80,7 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
 object TGM {
 
   /** Build a TGM from a database and a partitioning. */
-  def build(db: IndexedSeq[Array[Int]], grouping: Grouping,
+  def build(db: collection.IndexedSeq[Array[Int]], grouping: Grouping,
             measure: SetOps.Measure = SetOps.Jaccard): TGM = {
     val tgm = new TGM(measure)
     var g = 0

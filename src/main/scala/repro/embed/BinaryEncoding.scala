@@ -20,7 +20,7 @@ final class BinaryEncodingEmbedder private (codes: Map[IndexedSeq[Int], Int],
 
 object BinaryEncodingEmbedder {
   /** Build over a database; `dim` defaults to ⌈log₂|D|⌉. */
-  def apply(db: IndexedSeq[Array[Int]], dimOverride: Int = -1): BinaryEncodingEmbedder = {
+  def apply(db: collection.IndexedSeq[Array[Int]], dimOverride: Int = -1): BinaryEncodingEmbedder = {
     val d =
       if (dimOverride > 0) dimOverride
       else math.max(1, 32 - Integer.numberOfLeadingZeros(math.max(1, db.length - 1)))

@@ -99,7 +99,7 @@ object MDSEmbedder {
   }
 
   /** Fit with `nLandmarks` landmarks drawn from `db`. */
-  def fit(db: IndexedSeq[Array[Int]], dim: Int, nLandmarks: Int = 100,
+  def fit(db: collection.IndexedSeq[Array[Int]], dim: Int, nLandmarks: Int = 100,
           seed: Long = 47): MDSEmbedder = {
     val rnd = new Random(seed)
     val l = math.min(nLandmarks, db.length)

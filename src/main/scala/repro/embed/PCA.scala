@@ -42,7 +42,7 @@ final class PCAEmbedder private (components: Array[Array[Double]],
 object PCAEmbedder {
 
   /** Fit on `db` with token universe size `nTokens`. */
-  def fit(db: IndexedSeq[Array[Int]], nTokens: Int, dim: Int,
+  def fit(db: collection.IndexedSeq[Array[Int]], nTokens: Int, dim: Int,
           iters: Int = 30, seed: Long = 31): PCAEmbedder = {
     val n = db.length
     require(n > 0 && nTokens > 0)

@@ -56,7 +56,7 @@ trait Embedder extends Serializable {
   def name: String
   def dim: Int
   def embed(tokens: Array[Int]): Array[Double]
-  def embedAll(db: IndexedSeq[Array[Int]]): Array[Array[Double]] =
+  def embedAll(db: collection.IndexedSeq[Array[Int]]): Array[Array[Double]] =
     Array.tabulate(db.length)(i => embed(db(i)))
 }
 

@@ -1,7 +1,7 @@
 package repro.exp
 
 import repro.baselines.{BruteForce, DualTrans, InvIdx}
-import repro.core.Les3Index
+import repro.core.SimilarityIndex
 import repro.data.SetGen
 import repro.io.IOModel
 
@@ -13,38 +13,29 @@ object Fig12Exp {
   final case class Row(dataset: String, method: String, query: String,
                        param: Double, cpuMs: Double, ioMs: Double)
 
-  /** All four engines over one database under one [[IOModel]]. */
-  final case class Engines(les3: Les3Index, dual: DualTrans, inv: InvIdx, brute: BruteForce)
-
+  /** All four engines over one database under one [[IOModel]], in row
+    * order; the last, brute force, is the reference of [[crossCheck]].
+    */
   def buildEngines(db: Array[Array[Int]], nTokens: Int, nGroups: Int,
-                   io: IOModel, pairs: Int = 20000, restarts: Int = 3): Engines = {
+                   io: IOModel, pairs: Int = 20000,
+                   restarts: Int = 3): Seq[(String, SimilarityIndex)] = {
     val built = Harness.buildLes3(db, nTokens, nGroups, pairs, io, restarts)
-    Engines(built.index, new DualTrans(db, 16, io), new InvIdx(db, io), new BruteForce(db, io = io))
+    Seq("LES3" -> built.index, "DualTrans" -> new DualTrans(db, 16, io),
+        "InvIdx" -> new InvIdx(db, io), "BruteForce" -> new BruteForce(db, io = io))
   }
 
-  /** Sweep both query types over all engines; also asserts that all four
+  /** Sweep both query types over all engines; also asserts that all
     * methods return identical result similarities on the first few queries
     * (exactness cross-check).
     */
-  def sweep(dataset: String, engines: Engines, queries: Seq[Array[Int]],
+  def sweep(dataset: String, engines: Seq[(String, SimilarityIndex)], queries: Seq[Array[Int]],
             deltas: Seq[Double], ks: Seq[Int]): Seq[Row] = {
     crossCheck(engines, queries.take(5))
-    val e = engines
     val rangeRows = deltas.flatMap { d =>
-      Seq(
-        measure(dataset, "LES3", "range", d, queries)(q => e.les3.range(q, d).stats.ioMs),
-        measure(dataset, "DualTrans", "range", d, queries)(q => e.dual.range(q, d).stats.ioMs),
-        measure(dataset, "InvIdx", "range", d, queries)(q => e.inv.range(q, d).stats.ioMs),
-        measure(dataset, "BruteForce", "range", d, queries)(q => e.brute.range(q, d).stats.ioMs),
-      )
+      engines.map { case (name, e) => measure(dataset, name, "range", d, queries)(q => e.range(q, d).stats.ioMs) }
     }
     val knnRows = ks.flatMap { k =>
-      Seq(
-        measure(dataset, "LES3", "knn", k, queries)(q => e.les3.knn(q, k).stats.ioMs),
-        measure(dataset, "DualTrans", "knn", k, queries)(q => e.dual.knn(q, k).stats.ioMs),
-        measure(dataset, "InvIdx", "knn", k, queries)(q => e.inv.knn(q, k).stats.ioMs),
-        measure(dataset, "BruteForce", "knn", k, queries)(q => e.brute.knn(q, k).stats.ioMs),
-      )
+      engines.map { case (name, e) => measure(dataset, name, "knn", k, queries)(q => e.knn(q, k).stats.ioMs) }
     }
     rangeRows ++ knnRows
   }
@@ -58,23 +49,19 @@ object Fig12Exp {
     Row(dataset, method, query, param, cpu, ioTotal / queries.size)
   }
 
-  /** All methods must agree on range hits and on kNN similarity profiles. */
-  def crossCheck(e: Engines, queries: Seq[Array[Int]], delta: Double = 0.6, k: Int = 10): Unit = {
+  /** All methods must agree with the last engine (brute force) on range
+    * hits and on kNN similarity profiles.
+    */
+  def crossCheck(engines: Seq[(String, SimilarityIndex)], queries: Seq[Array[Int]],
+                 delta: Double = 0.6, k: Int = 10): Unit = {
+    val brute = engines.last._2
     for (q <- queries) {
-      val expected = e.brute.range(q, delta).hits.map(h => (h.sid, math.round(h.sim * 1e9))).sortBy(_._1)
-      for ((name, got) <- Seq(
-        "LES3" -> e.les3.range(q, delta),
-        "DualTrans" -> e.dual.range(q, delta),
-        "InvIdx" -> e.inv.range(q, delta))) {
-        val gotNorm = got.hits.map(h => (h.sid, math.round(h.sim * 1e9))).sortBy(_._1)
+      val expected = brute.range(q, delta).hits.map(h => (h.sid, math.round(h.sim * 1e9))).sortBy(_._1)
+      val expKnn = brute.knn(q, k).hits.map(h => math.round(h.sim * 1e9)).sorted
+      for ((name, e) <- engines.init) {
+        val gotNorm = e.range(q, delta).hits.map(h => (h.sid, math.round(h.sim * 1e9))).sortBy(_._1)
         require(gotNorm == expected, s"$name range mismatch vs brute force")
-      }
-      val expKnn = e.brute.knn(q, k).hits.map(h => math.round(h.sim * 1e9)).sorted
-      for ((name, got) <- Seq(
-        "LES3" -> e.les3.knn(q, k),
-        "DualTrans" -> e.dual.knn(q, k),
-        "InvIdx" -> e.inv.knn(q, k))) {
-        val gotSims = got.hits.map(h => math.round(h.sim * 1e9)).sorted
+        val gotSims = e.knn(q, k).hits.map(h => math.round(h.sim * 1e9)).sorted
         require(gotSims == expKnn, s"$name knn similarity profile mismatch vs brute force")
       }
     }

@@ -31,7 +31,7 @@ object Harness {
   /** Sample `count` query sets from the database (§7.1: queries are drawn
     * from the dataset itself).
     */
-  def sampleQueries(db: IndexedSeq[Array[Int]], count: Int, seed: Long = 97): Array[Array[Int]] = {
+  def sampleQueries(db: collection.IndexedSeq[Array[Int]], count: Int, seed: Long = 97): Array[Array[Int]] = {
     val rnd = new Random(seed)
     Array.fill(math.min(count, db.length))(db(rnd.nextInt(db.length)))
   }
@@ -64,11 +64,11 @@ object Harness {
   }
 
   /** A fully-built LES³ instance plus its provenance. */
-  final case class BuiltLes3(db: IndexedSeq[Array[Int]], l2p: L2P.Result,
+  final case class BuiltLes3(db: collection.IndexedSeq[Array[Int]], l2p: L2P.Result,
                              index: Les3Index, partitionMs: Double)
 
   /** Build LES³ for a database: PTR reps → L2P cascade → TGM index. */
-  def buildLes3(db: IndexedSeq[Array[Int]], nTokens: Int, targetGroups: Int,
+  def buildLes3(db: collection.IndexedSeq[Array[Int]], nTokens: Int, targetGroups: Int,
                 pairs: Int = 40000, io: IOModel = IOModel.InMemory,
                 restarts: Int = 3): BuiltLes3 = {
     val (l2p, ms) = timeMs {

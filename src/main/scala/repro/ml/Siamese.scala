@@ -57,7 +57,7 @@ object Siamese {
   /** Train a bisection model for the group `memberIds` (ids into `db`,
     * with `reps(id)` the vector representation of set id).
     */
-  def train(memberIds: Array[Int], db: IndexedSeq[Array[Int]],
+  def train(memberIds: Array[Int], db: collection.IndexedSeq[Array[Int]],
             reps: Int => Array[Double], measure: SetOps.Measure,
             cfg: Config): TrainResult = {
     val start = System.nanoTime()

@@ -15,7 +15,7 @@ object DistSample {
   /** Average distance (1 − Sim) from set `sid` to ≤ `sample` random members
     * of `group`, excluding `sid` itself; 0 for an effectively empty group.
     */
-  def avgDistTo(db: IndexedSeq[Array[Int]], sid: Int, group: ArrayBuffer[Int],
+  def avgDistTo(db: collection.IndexedSeq[Array[Int]], sid: Int, group: ArrayBuffer[Int],
                 sample: Int, measure: SetOps.Measure, rnd: Random): Double = {
     var s = 0.0
     var taken = 0
@@ -33,7 +33,7 @@ object DistSample {
   }
 
   /** Sampled estimate of φ(G) = Σ ordered-pairwise distances in the group. */
-  def phiSampled(db: IndexedSeq[Array[Int]], group: ArrayBuffer[Int],
+  def phiSampled(db: collection.IndexedSeq[Array[Int]], group: ArrayBuffer[Int],
                  pairSample: Int, measure: SetOps.Measure, rnd: Random): Double = {
     val n = group.length
     if (n < 2) return 0.0
@@ -51,7 +51,7 @@ object DistSample {
   }
 
   /** Average distance over ≤ `pairSample` sampled cross pairs of two groups. */
-  def avgCrossDist(db: IndexedSeq[Array[Int]], a: ArrayBuffer[Int], b: ArrayBuffer[Int],
+  def avgCrossDist(db: collection.IndexedSeq[Array[Int]], a: ArrayBuffer[Int], b: ArrayBuffer[Int],
                    pairSample: Int, measure: SetOps.Measure, rnd: Random): Double = {
     if (a.isEmpty || b.isEmpty) return 0.0
     var s = 0.0

@@ -92,7 +92,7 @@ object L2P {
   }
 
   /** Run the cascade on `db` with representations from `embedder`. */
-  def partition(db: IndexedSeq[Array[Int]], embedder: Embedder, cfg: Config): Result =
+  def partition(db: collection.IndexedSeq[Array[Int]], embedder: Embedder, cfg: Config): Result =
     partitionWithReps(db, embedder, Array.tabulate(db.length)(i => embedder.embed(db(i))), cfg)
 
   /** Run the cascade with representations computed elsewhere (used by the
@@ -100,7 +100,7 @@ object L2P {
     * `embedder` is still carried into the deployable model for inference
     * on new sets.
     */
-  def partitionWithReps(db: IndexedSeq[Array[Int]], embedder: Embedder,
+  def partitionWithReps(db: collection.IndexedSeq[Array[Int]], embedder: Embedder,
                         reps: Array[Array[Double]], cfg: Config): Result = {
     val start = System.nanoTime()
     val n = db.length

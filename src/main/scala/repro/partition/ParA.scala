@@ -15,7 +15,7 @@ object ParA {
   final case class Config(crossPairSample: Int = 6, phiPairSample: Int = 32,
                           measure: SetOps.Measure = SetOps.Jaccard, seed: Long = 61)
 
-  def partition(db: IndexedSeq[Array[Int]], nGroups: Int,
+  def partition(db: collection.IndexedSeq[Array[Int]], nGroups: Int,
                 cfg: Config = Config()): Grouping = {
     val n = db.length
     val rnd = new Random(cfg.seed)

@@ -18,7 +18,7 @@ object ParC {
   final case class Config(memberSample: Int = 12, maxPasses: Int = 4,
                           measure: SetOps.Measure = SetOps.Jaccard, seed: Long = 53)
 
-  def partition(db: IndexedSeq[Array[Int]], nGroups: Int,
+  def partition(db: collection.IndexedSeq[Array[Int]], nGroups: Int,
                 cfg: Config = Config()): Grouping = {
     val n = db.length
     val rnd = new Random(cfg.seed)

@@ -14,7 +14,7 @@ object ParD {
   final case class Config(memberSample: Int = 12, phiPairSample: Int = 64,
                           measure: SetOps.Measure = SetOps.Jaccard, seed: Long = 59)
 
-  def partition(db: IndexedSeq[Array[Int]], nGroups: Int,
+  def partition(db: collection.IndexedSeq[Array[Int]], nGroups: Int,
                 cfg: Config = Config()): Grouping = {
     val n = db.length
     val rnd = new Random(cfg.seed)

@@ -19,7 +19,7 @@ object ParG {
     * @param knnOf neighbour oracle — the experiments pass an LES³-backed
     *              (or brute-force) kNN so the graph build mirrors §7.4
     */
-  def partitionForKnn(db: IndexedSeq[Array[Int]], nGroups: Int, k: Int,
+  def partitionForKnn(db: collection.IndexedSeq[Array[Int]], nGroups: Int, k: Int,
                       knnOf: Int => Array[Int], cfg: Config = Config()): Grouping = {
     val adj = KnnGraph.fromKnn(db.length, knnOf)
     RecursiveBisection.partition(adj, nGroups,
@@ -27,7 +27,7 @@ object ParG {
   }
 
   /** Partition for a range workload with the given δ. */
-  def partitionForRange(db: IndexedSeq[Array[Int]], nGroups: Int, delta: Double,
+  def partitionForRange(db: collection.IndexedSeq[Array[Int]], nGroups: Int, delta: Double,
                         cfg: Config = Config()): Grouping = {
     val adj = KnnGraph.fromThreshold(db, delta, cfg.measure)
     RecursiveBisection.partition(adj, nGroups,

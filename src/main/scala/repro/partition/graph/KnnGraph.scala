@@ -31,7 +31,7 @@ object KnnGraph {
   /** The δ-threshold similarity graph, by brute-force pairwise comparison
     * (only used at experiment scale).
     */
-  def fromThreshold(db: IndexedSeq[Array[Int]], delta: Double,
+  def fromThreshold(db: collection.IndexedSeq[Array[Int]], delta: Double,
                     measure: SetOps.Measure = SetOps.Jaccard): Array[Array[Int]] = {
     val adj = Array.fill(db.length)(mutable.ArrayBuffer.empty[Int])
     for (i <- db.indices; j <- i + 1 until db.length

@@ -71,6 +71,8 @@ class HTGMSpec extends AnyFunSuite {
     val q = db(0)
     assert(htgm.knn(q, 5).hits.map(_.sim).sorted == flat.knn(q, 5).hits.map(_.sim).sorted)
     assert(htgm.range(q, 0.5).hits.map(_.sid).sorted == flat.range(q, 0.5).hits.map(_.sid).sorted)
+    val (hs, fs) = (htgm.range(q, 0.5).stats, flat.range(q, 0.5).stats)
+    assert((hs.candidates, hs.groupsRead, hs.ubProbes) == (fs.candidates, fs.groupsRead, fs.ubProbes))
   }
 
   test("hierarchical pruning probes fewer cells when sets are dissimilar") {

@@ -50,6 +50,18 @@ class SearchSpec extends AnyFunSuite {
     assert(r.hits.map(_.sim).toSeq == r.hits.map(_.sim).sortBy(-_).toSeq)
   }
 
+  test("TopK keeps the k best in descending order; a tie with the kth-best does not displace it") {
+    val top = new TopK(3)
+    for ((sim, sid) <- Seq(0.2, 0.9, 0.5, 0.7).zipWithIndex) top.offer(sid, sim)
+    assert(top.full && top.min == 0.5)
+    top.offer(9, 0.5)
+    assert(top.hits.toSeq == Seq(Hit(1, 0.9), Hit(3, 0.7), Hit(2, 0.5)))
+    assert(top.hits.toSeq == Seq(Hit(1, 0.9), Hit(3, 0.7), Hit(2, 0.5)), "hits does not drain")
+    val few = new TopK(5)
+    few.offer(4, 0.1); few.offer(2, 0.3)
+    assert(!few.full && few.hits.toSeq == Seq(Hit(2, 0.3), Hit(4, 0.1)))
+  }
+
   test("knn with k larger than |D| returns everything") {
     val db = randomDb(10, 20, 5, 6)
     val index = new Les3Index(db, Grouping.random(db.length, 3, 2))

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.baselines.BruteForce
+import repro.baselines.{BruteForce, DualTrans, InvIdx}
 import repro.data.SetGen
 import repro.embed.PTREmbedder
 import repro.exp.Harness
@@ -99,6 +99,32 @@ class SparkSearchSpec extends SparkSpec {
       val exp = brute.knn(q, 10).hits.map(h => math.round(h.sim * 1e9)).sorted
       val got = hits(qid).map(h => math.round(h.sim * 1e9)).toSeq.sorted
       assert(got == exp, s"query $qid")
+    }
+  }
+
+  test("distributed search verifies with the TGM's measure (Cosine)") {
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups, SetOps.Cosine)
+    val brute = new BruteForce(db, SetOps.Cosine)
+    val rnd = new Random(5)
+    val queryArr = Array.tabulate(5)(i => (i.toLong, db(rnd.nextInt(db.length))))
+    import spark.implicits._
+    val range = SparkSearch.rangeSearch(groupedDF, queryArr.toSeq.toDF("qid", "tokens"), tgm, 0.6)
+      .collect().map(r => (r.getLong(0), r.getLong(1).toInt, r.getDouble(2)))
+    val knn = SparkSearch.knnSearch(groupedDF, queryArr, tgm, k = 10)
+    for ((qid, q) <- queryArr) {
+      val got = range.filter(_._1 == qid).map(r => (r._2, r._3)).sortBy(_._1).toSeq
+      assert(got == brute.range(q, 0.6).hits.map(h => (h.sid, h.sim)).sortBy(_._1).toSeq, s"range query $qid")
+      assert(knn(qid).map(_.sim).toSeq.sorted == brute.knn(q, 10).hits.map(_.sim).toSeq.sorted, s"knn query $qid")
+    }
+  }
+
+  test("kNN with k <= 0 is rejected by every engine and by knnSearch") {
+    val engines = Seq[SimilarityIndex](new Les3Index(db, l2p.grouping),
+      HTGM.build(db, Seq(l2p.grouping)), new BruteForce(db), new InvIdx(db), new DualTrans(db))
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    for (k <- Seq(0, -1)) {
+      for (e <- engines) intercept[IllegalArgumentException](e.knn(db(0), k))
+      intercept[IllegalArgumentException](SparkSearch.knnSearch(groupedDF, Array((0L, db(0))), tgm, k))
     }
   }
 
