@@ -8,11 +8,14 @@ import scala.collection.mutable.ArrayBuffer
   * a full inverted index in global token-frequency order with query-side
   * prefix filtering plus the Jaccard length filter.
   *
-  * Range correctness: order each set's tokens rarest-first and take the
-  * query prefix of length |Q| − ⌈δ|Q|⌉ + 1. A set sharing no prefix token
-  * has overlap ≤ ⌈δ|Q|⌉ − 1 < δ|Q|, while any set passing the length filter
-  * (|S| ≥ δ|Q|) needs overlap ≥ δ(|Q|+|S|)/(1+δ) ≥ δ|Q| to reach Jaccard δ
-  * — so scanning only prefix-token postings is exact.
+  * Range correctness: a set S reaches Jaccard δ only if its length bound
+  * `Jaccard.sizeUb(|Q|, |S|)` does (the length filter) and its overlap o
+  * with Q has o/|Q| ≥ δ, as o/|Q| ≥ o/|Q ∪ S|. Both tests are made on the
+  * same floating-point quotients as the similarity itself, never on a
+  * rounded closed form such as ⌈δ|Q|⌉, which can drop true hits. With o*
+  * the least such overlap, order the query rarest-first and take its
+  * prefix of length |Q| − o* + 1: a set sharing no prefix token has
+  * overlap < o* — so scanning only prefix-token postings is exact.
   *
   * kNN follows the paper's adaptation: start at δ = 1.0, fetch candidates,
   * and lower δ by z until the kth-best similarity reaches the current δ.
@@ -59,16 +62,24 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
   private def sortQuery(q: Array[Int]): Array[Int] =
     q.sortBy(t => if (t < nTokens) rankOf(t) else Int.MaxValue)
 
-  private def prefixLen(qLen: Int, delta: Double): Int =
-    math.min(qLen, math.max(1, qLen - math.ceil(delta * qLen).toInt + 1))
+  /** Query prefix length for threshold δ: |Q| − o* + 1, where o* is the
+    * least overlap o ≤ |Q| with `Jaccard.sizeUb(|Q|, o)` = o/|Q| ≥ δ
+    * (|Q| + 1 if none, giving an empty prefix), at most |Q|.
+    */
+  private def prefixLen(qLen: Int, delta: Double): Int = {
+    var lo = 0; var hi = qLen + 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (mid <= qLen && SetOps.Jaccard.sizeUb(qLen, mid) >= delta) hi = mid else lo = mid + 1
+    }
+    if (lo > qLen) 0 else qLen - math.max(1, lo) + 1
+  }
 
   def range(q: Array[Int], delta: Double): SearchResult = {
     require(delta > 0.0, "InvIdx range requires delta > 0")
     if (q.isEmpty) return SearchResult(ArrayBuffer.empty, SearchStats(0, 0, 0, 0.0))
     val qs = sortQuery(q)
     val p = prefixLen(qs.length, delta)
-    val minLen = math.ceil(delta * qs.length).toInt
-    val maxLen = math.floor(qs.length / delta).toInt
     val seen = new java.util.HashSet[Int]()
     val hits = ArrayBuffer.empty[Hit]
     var ioMs = 0.0
@@ -80,7 +91,7 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
         ioMs += io.randomAccess(io.indexBytes(4L * postings(t).length + 8L))
         for (sid <- postings(t)) {
           val len = db(sid).length
-          if (len >= minLen && len <= maxLen && seen.add(sid)) {
+          if (SetOps.Jaccard.sizeUb(qs.length, len) >= delta && seen.add(sid)) {
             ioMs += io.randomAccess(io.dataBytes(len))
             val sim = SetOps.jaccard(q, db(sid))
             candidates += 1
@@ -108,8 +119,6 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
     while (!done) {
       if (qs.nonEmpty) {
         val p = prefixLen(qs.length, delta)
-        val minLen = math.max(1, math.ceil(delta * qs.length).toInt)
-        val maxLen = math.floor(qs.length / delta).toInt
         var i = 0
         while (i < p) {
           val t = qs(i)
@@ -120,7 +129,7 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
             ioMs += io.randomAccess(io.indexBytes(4L * postings(t).length + 8L))
             for (sid <- postings(t)) {
               val len = db(sid).length
-              if (len >= minLen && len <= maxLen && seen.add(sid)) {
+              if (SetOps.Jaccard.sizeUb(qs.length, len) >= delta && seen.add(sid)) {
                 ioMs += io.randomAccess(io.dataBytes(len))
                 val sim = SetOps.jaccard(q, db(sid))
                 candidates += 1

@@ -161,11 +161,41 @@ final class RoaringLite private (
   }
 
   /** Count how many values of sorted-distinct `q` are present — the matched
-    * token count of Eq. 2, the TGM's hot loop.
+    * token count of Eq. 2, the TGM's hot loop. One pass over `q`: a cursor
+    * walks the chunks, and within an array container a second cursor only
+    * moves forward, so each token costs a binary search over the entries
+    * not yet passed rather than a full [[contains]] lookup.
     */
   def countContained(q: Array[Int]): Int = {
-    var c = 0; var i = 0
-    while (i < q.length) { if (contains(q(i))) c += 1; i += 1 }
+    var c = 0; var i = 0; var ci = 0
+    while (i < q.length && q(i) < 0) i += 1
+    while (i < q.length && ci < nChunks) {
+      val key = q(i) >>> 16
+      while (ci < nChunks && keys(ci) < key) ci += 1
+      if (ci < nChunks && keys(ci) == key) {
+        containers(ci) match {
+          case arr: Array[Short] =>
+            var j = 0
+            while (i < q.length && (q(i) >>> 16) == key) {
+              val low = q(i) & 0xffff
+              var hi = arr.length
+              while (j < hi) {
+                val mid = (j + hi) >>> 1
+                if ((arr(mid) & 0xffff) < low) j = mid + 1 else hi = mid
+              }
+              if (j < arr.length && (arr(j) & 0xffff) == low) c += 1
+              i += 1
+            }
+          case words: Array[Long] =>
+            while (i < q.length && (q(i) >>> 16) == key) {
+              val low = q(i) & 0xffff
+              if ((words(low >>> 6) & (1L << (low & 63))) != 0) c += 1
+              i += 1
+            }
+        }
+        ci += 1
+      } else while (i < q.length && (q(i) >>> 16) == key) i += 1
+    }
     c
   }
 }

@@ -1,23 +1,35 @@
 package repro.core
 
 import repro.io.IOModel
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Per-query instrumentation shared by all engines in this repo.
   *
-  * @param candidates number of sets whose similarity to Q was computed
+  * @param candidates number of candidate sets: for LES³/HTGM the members of
+  *                   the groups read, the quantity of Definition 2.3
   * @param ubProbes   number of TGM cells (group × query-token) probed
   * @param groupsRead number of groups fetched from storage
   * @param ioMs       simulated storage time under the engine's [[IOModel]]
+  * @param verified   number of sets whose similarity to Q was computed; at
+  *                   most `candidates`, as LES³ skips candidates whose size
+  *                   cannot qualify
   */
-final case class SearchStats(candidates: Long, ubProbes: Long, groupsRead: Int, ioMs: Double) {
+final case class SearchStats(candidates: Long, ubProbes: Long, groupsRead: Int, ioMs: Double,
+                             verified: Long) {
   /** Pruning efficiency for a kNN query (Definition 2.3). */
   def peKnn(nSets: Int, k: Int): Double =
     (nSets - (candidates - math.min(k, nSets)).toDouble) / nSets
   /** Pruning efficiency for a range query (Definition 2.3). */
   def peRange(nSets: Int, resultSize: Int): Double =
     (nSets - (candidates - resultSize).toDouble) / nSets
+}
+
+object SearchStats {
+  /** Stats of an engine that verifies every candidate. */
+  def apply(candidates: Long, ubProbes: Long, groupsRead: Int, ioMs: Double): SearchStats =
+    SearchStats(candidates, ubProbes, groupsRead, ioMs, candidates)
 }
 
 /** One search hit: set id + its similarity to the query. */
@@ -57,9 +69,10 @@ final class TopK(k: Int) {
 /** The LES³ in-memory engine: a partitioned database + its [[TGM]], with the
   * filter-and-verify algorithms of §3.1/§6 and the update handling of §6.
   *
-  * Groups are assumed laid out contiguously on storage (the paper's layout,
-  * §7.6), so fetching a candidate group costs one random access of the
-  * group's byte footprint under `io`.
+  * Each group is stored as one contiguous, size-sorted [[GroupBlock]] (the
+  * paper's layout, §7.6), so fetching a candidate group costs one random
+  * access of the group's byte footprint under `io`, and verification
+  * computes the similarity only of the members whose size can qualify.
   */
 final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Grouping,
                       val measure: SetOps.Measure = SetOps.Jaccard,
@@ -67,83 +80,99 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
 
   /** Mutable database — §6 allows insertions after the index is built. */
   val db: ArrayBuffer[Array[Int]] = ArrayBuffer.from(initialDb)
-  /** Member set ids per group. */
-  val members: ArrayBuffer[ArrayBuffer[Int]] =
-    ArrayBuffer.from(grouping.members.map(ArrayBuffer.from(_)))
+  private val blocks: Array[GroupBlock] = grouping.members.map(GroupBlock.build(initialDb, _))
   val tgm: TGM = TGM.build(initialDb, grouping, measure)
 
   def nSets: Int = db.length
 
-  private def groupBytes(g: Int): Long = {
+  /** Member set ids of group `g` in (size, sid) order: a snapshot of its
+    * block's ids, not a copy.
+    */
+  def members(g: Int): ArraySeq.ofInt = new ArraySeq.ofInt(blocks(g).sids)
+
+  private def groupBytes(b: GroupBlock): Long = {
     var total = 0L
-    val m = members(g)
     var i = 0
-    while (i < m.length) { total += io.dataBytes(db(m(i)).length); i += 1 }
+    while (i < b.n) { total += io.dataBytes(b.size(i)); i += 1 }
     total
   }
 
   /** Probes the bound of each group in `gs` and reads the non-empty ones
-    * that reach δ: members with sim ≥ δ join `hits`. Returns `s` plus the
-    * probes and reads.
+    * that reach δ: their members are candidates, those whose size bound
+    * reaches δ are verified, and those with sim ≥ δ join `hits`. Returns
+    * `s` plus the probes and reads.
     */
   private[core] def verifyRange(q: Array[Int], gs: Array[Int], delta: Double,
                                 hits: ArrayBuffer[Hit], s: SearchStats): SearchStats = {
     var candidates = 0L
+    var verified = 0L
     var groupsRead = 0
     var ioMs = 0.0
     var j = 0
     while (j < gs.length) {
-      val g = gs(j)
-      if (tgm.ub(q, g) >= delta && members(g).nonEmpty) {
+      val b = blocks(gs(j))
+      if (tgm.ub(q, gs(j)) >= delta && b.n > 0) {
         groupsRead += 1
-        ioMs += io.randomAccess(groupBytes(g))
-        val m = members(g)
-        var i = 0
-        while (i < m.length) {
-          val sid = m(i)
-          val sim = measure.sim(q, db(sid))
-          candidates += 1
-          if (sim >= delta) hits += Hit(sid, sim)
+        ioMs += io.randomAccess(groupBytes(b))
+        candidates += b.n
+        // The qualifying sizes are one run: it ends at the first failing
+        // member past firstFit, which is larger than Q.
+        var i = b.firstFit(measure, q.length, delta)
+        while (i < b.n && measure.sizeUb(q.length, b.size(i)) >= delta) {
+          val sim = b.sim(i, q, measure)
+          verified += 1
+          if (sim >= delta) hits += Hit(b.sids(i), sim)
           i += 1
         }
       }
       j += 1
     }
     SearchStats(s.candidates + candidates, s.ubProbes + gs.length.toLong * q.length,
-                s.groupsRead + groupsRead, s.ioMs + ioMs)
+                s.groupsRead + groupsRead, s.ioMs + ioMs, s.verified + verified)
   }
 
   /** Visits the groups `gs` in order for a kNN query, `ubs(j)` being the
     * bound of `gs(j)`: stops at the first bound that cannot beat the
-    * kth-best similarity, and offers every member of the other non-empty
-    * groups to `top`. Returns `s` plus the reads.
+    * kth-best similarity, and reads the other non-empty groups, offering
+    * to `top` every member whose size bound beats the kth-best. Returns `s`
+    * plus the reads.
     */
   private[core] def verifyKnn(q: Array[Int], gs: Array[Int], ubs: Array[Double],
                               top: TopK, s: SearchStats): SearchStats = {
     var candidates = 0L
+    var verified = 0L
     var groupsRead = 0
     var ioMs = 0.0
     var j = 0
     var done = false
     while (j < gs.length && !done) {
-      val g = gs(j)
+      val b = blocks(gs(j))
       if (top.full && ubs(j) <= top.min) done = true
-      else if (members(g).nonEmpty) {
+      else if (b.n > 0) {
         groupsRead += 1
-        ioMs += io.randomAccess(groupBytes(g))
-        val m = members(g)
-        var i = 0
-        while (i < m.length) {
-          val sid = m(i)
-          val sim = measure.sim(q, db(sid))
-          candidates += 1
-          top.offer(sid, sim)
+        ioMs += io.randomAccess(groupBytes(b))
+        candidates += b.n
+        // A member can enter `top` only if its size bound beats the
+        // kth-best: sizeUb > min ⇔ sizeUb ≥ nextUp(min). The bar rises as
+        // `top` fills, so smaller members may fail after firstFit, but the
+        // first failing member larger than Q ends the run.
+        var lo = if (top.full) Math.nextUp(top.min) else Double.NegativeInfinity
+        var i = b.firstFit(measure, q.length, lo)
+        var more = true
+        while (i < b.n && more) {
+          val r = b.size(i)
+          if (measure.sizeUb(q.length, r) >= lo) {
+            verified += 1
+            top.offer(b.sids(i), b.sim(i, q, measure))
+            if (top.full) lo = Math.nextUp(top.min)
+          } else more = r < q.length
           i += 1
         }
       }
       j += 1
     }
-    SearchStats(s.candidates + candidates, s.ubProbes, s.groupsRead + groupsRead, s.ioMs + ioMs)
+    SearchStats(s.candidates + candidates, s.ubProbes, s.groupsRead + groupsRead, s.ioMs + ioMs,
+                s.verified + verified)
   }
 
   /** Range search (Definition 2.2): verify exactly the groups whose upper
@@ -170,26 +199,33 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     SearchResult(top.hits, stats)
   }
 
-  /** Insert a new set (§6). The set joins the group with the highest
-    * similarity upper bound to its previously-seen tokens (ties → smallest
-    * group; no seen tokens → smallest group); unseen tokens simply extend
-    * the matrix. Returns (set id, group id).
+  /** Insert a new set (§6), which must be sorted-distinct and non-negative;
+    * a rejected set leaves the index unchanged. The set joins the group
+    * with the highest similarity upper bound to its previously-seen tokens
+    * (ties → smallest group; no seen tokens → smallest group); unseen
+    * tokens simply extend the matrix. Returns (set id, group id).
     */
   def insert(set: Array[Int]): (Int, Int) = {
+    var i = 0
+    while (i < set.length) {
+      require(set(i) >= 0 && (i == 0 || set(i - 1) < set(i)),
+        s"insert needs sorted distinct non-negative tokens, got ${set.mkString("[", ", ", "]")}")
+      i += 1
+    }
     val seen = set.filter(_ < tgm.nTokens)
     var best = -1
     var bestUb = -1.0
     var g = 0
     while (g < tgm.nGroups) {
       val u = if (seen.isEmpty) 0.0 else tgm.ub(seen, g)
-      if (u > bestUb || (u == bestUb && (best < 0 || members(g).length < members(best).length))) {
+      if (u > bestUb || (u == bestUb && (best < 0 || blocks(g).n < blocks(best).n))) {
         best = g; bestUb = u
       }
       g += 1
     }
     val sid = db.length
     db += set
-    members(best) += sid
+    blocks(best).insert(sid, set)
     tgm.addSet(best, set)
     (sid, best)
   }

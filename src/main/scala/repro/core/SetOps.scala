@@ -18,9 +18,14 @@ object SetOps {
   }
 
   /** |a ∩ b| by linear merge; both inputs must be sorted-distinct. */
-  def intersectSize(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0; var c = 0
-    while (i < a.length && j < b.length) {
+  def intersectSize(a: Array[Int], b: Array[Int]): Int = intersectSize(a, b, 0, b.length)
+
+  /** |a ∩ b[from, until)| by linear merge — `b` may be one set stored
+    * inside a larger token array; both runs must be sorted-distinct.
+    */
+  def intersectSize(a: Array[Int], b: Array[Int], from: Int, until: Int): Int = {
+    var i = 0; var j = from; var c = 0
+    while (i < a.length && j < until) {
       val x = a(i); val y = b(j)
       if (x == y) { c += 1; i += 1; j += 1 }
       else if (x < y) i += 1
@@ -30,51 +35,60 @@ object SetOps {
   }
 
   /** Jaccard similarity |a∩b| / |a∪b|; empty-vs-empty defined as 1.0. */
-  def jaccard(a: Array[Int], b: Array[Int]): Double = {
-    if (a.isEmpty && b.isEmpty) return 1.0
-    val inter = intersectSize(a, b)
-    inter.toDouble / (a.length + b.length - inter)
-  }
+  def jaccard(a: Array[Int], b: Array[Int]): Double = Jaccard.sim(a, b)
 
   /** Dice coefficient 2|a∩b| / (|a|+|b|). */
-  def dice(a: Array[Int], b: Array[Int]): Double = {
-    if (a.isEmpty && b.isEmpty) return 1.0
-    2.0 * intersectSize(a, b) / (a.length + b.length)
-  }
+  def dice(a: Array[Int], b: Array[Int]): Double = Dice.sim(a, b)
 
   /** Cosine similarity |a∩b| / sqrt(|a||b|). */
-  def cosine(a: Array[Int], b: Array[Int]): Double = {
-    if (a.isEmpty && b.isEmpty) return 1.0
-    if (a.isEmpty || b.isEmpty) return 0.0
-    intersectSize(a, b) / math.sqrt(a.length.toDouble * b.length)
-  }
+  def cosine(a: Array[Int], b: Array[Int]): Double = Cosine.sim(a, b)
 
   /** Similarity measures satisfying the TGM Applicability Property (Thm 3.1).
     *
-    * `sim` is the pairwise measure; `ubFromOverlap(m, q)` is Sim(Q, R) for
-    * |R| = m matched query tokens out of |Q| = q — the tight group upper
-    * bound of Eq. 2 generalized per §3.2 (R itself is the best possible set).
+    * Each is a function of the overlap and the two sizes only:
+    * `simFromOverlap(i, q, r)` is the similarity of sets of sizes q and r
+    * sharing i tokens, non-decreasing in i, and `sim` applies it to a pair.
+    *
+    * `ubFromOverlap(m, q)` is Sim(Q, R) for |R| = m matched query tokens out
+    * of |Q| = q — the tight group upper bound of Eq. 2 generalized per §3.2
+    * (R itself is the best possible set).
+    *
+    * `sizeUb(q, r)` bounds the similarity of any set of size r to a query of
+    * size q — the length filter (Bayardo et al., WWW 2007). It rises in r up
+    * to r = q and falls after, in floating point too: each side is one
+    * rounded quotient that moves monotonically in r (for Cosine, a quotient
+    * whose neighbouring values differ by far more than its rounding error).
     */
   sealed abstract class Measure(val name: String) {
-    def sim(a: Array[Int], b: Array[Int]): Double
+    def simFromOverlap(inter: Int, qSize: Int, rSize: Int): Double
     def ubFromOverlap(matched: Int, qSize: Int): Double
+
+    final def sim(a: Array[Int], b: Array[Int]): Double =
+      simFromOverlap(intersectSize(a, b), a.length, b.length)
+    final def sizeUb(qSize: Int, rSize: Int): Double =
+      simFromOverlap(math.min(qSize, rSize), qSize, rSize)
   }
 
   case object Jaccard extends Measure("jaccard") {
-    def sim(a: Array[Int], b: Array[Int]): Double = jaccard(a, b)
+    def simFromOverlap(inter: Int, qSize: Int, rSize: Int): Double =
+      if (qSize == 0 && rSize == 0) 1.0 else inter.toDouble / (qSize + rSize - inter)
     def ubFromOverlap(matched: Int, qSize: Int): Double =
       if (qSize == 0) 1.0 else matched.toDouble / qSize
   }
 
   case object Cosine extends Measure("cosine") {
-    def sim(a: Array[Int], b: Array[Int]): Double = cosine(a, b)
+    def simFromOverlap(inter: Int, qSize: Int, rSize: Int): Double =
+      if (qSize == 0 && rSize == 0) 1.0
+      else if (qSize == 0 || rSize == 0) 0.0
+      else inter / math.sqrt(qSize.toDouble * rSize)
     // Best set is R itself: |Q∩R|/sqrt(|Q||R|) = m/sqrt(q*m) = sqrt(m/q).
     def ubFromOverlap(matched: Int, qSize: Int): Double =
       if (qSize == 0) 1.0 else math.sqrt(matched.toDouble / qSize)
   }
 
   case object Dice extends Measure("dice") {
-    def sim(a: Array[Int], b: Array[Int]): Double = dice(a, b)
+    def simFromOverlap(inter: Int, qSize: Int, rSize: Int): Double =
+      if (qSize == 0 && rSize == 0) 1.0 else 2.0 * inter / (qSize + rSize)
     // Best set is R: 2m/(q+m), increasing in m.
     def ubFromOverlap(matched: Int, qSize: Int): Double =
       if (qSize == 0) 1.0 else 2.0 * matched / (qSize + matched)

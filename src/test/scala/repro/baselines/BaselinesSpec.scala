@@ -68,6 +68,20 @@ class BaselinesSpec extends AnyFunSuite {
            naiveRange(db, q, 0.4).sortBy(_._1))
   }
 
+  test("InvIdx.range keeps a hit whose Jaccard equals δ at the length limit") {
+    // sim = 7/100 = 0.07, but a closed-form window ends at ⌊7/0.07⌋ = 99.
+    val db = Array(Array.range(0, 100), Array.range(200, 205))
+    val q = Array.range(0, 7)
+    assert(new InvIdx(db).range(q, 0.07).hits.map(h => (h.sid, h.sim)) == Seq((0, 0.07)))
+  }
+
+  test("InvIdx.range keeps a subset hit whose Jaccard equals δ") {
+    // sim = 7/50 = 0.14, but a closed-form window starts at ⌈0.14 · 50⌉ = 8.
+    val db = Array(Array.range(0, 7), Array.range(60, 64))
+    val q = Array.range(0, 50)
+    assert(new InvIdx(db).range(q, 0.14).hits.map(h => (h.sid, h.sim)) == Seq((0, 0.14)))
+  }
+
   test("InvIdx.range rejects delta = 0") {
     val db = randomDb(10, 10, 3, 7)
     intercept[IllegalArgumentException](new InvIdx(db).range(Array(1), 0.0))

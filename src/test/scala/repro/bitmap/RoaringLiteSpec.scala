@@ -91,6 +91,18 @@ class RoaringLiteSpec extends AnyFunSuite {
     }
   }
 
+  test("countContained matches contains across chunks, bitmap containers and gaps") {
+    val rnd = new Random(15)
+    // chunk 0 a bitmap container, chunks 1 and 3 arrays, chunk 2 absent
+    val bm = RoaringLite.of(Seq.fill(6000)(rnd.nextInt(65536)) ++
+      Seq.fill(300)(65536 + rnd.nextInt(65536)) ++ Seq.fill(300)(3 * 65536 + rnd.nextInt(65536)))
+    for (_ <- 1 to 100) {
+      val q = (Seq(-5, -1) ++ Seq.fill(rnd.nextInt(200))(rnd.nextInt(5 * 65536))).distinct.sorted.toArray
+      assert(bm.countContained(q) == q.count(bm.contains))
+    }
+    assert(RoaringLite.empty().countContained(Array(0, 1)) == 0)
+  }
+
   test("promotion preserves previously-added values") {
     val bm = RoaringLite.empty()
     val rnd = new Random(14)

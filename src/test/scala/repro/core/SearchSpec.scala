@@ -147,6 +147,31 @@ class SearchSpec extends AnyFunSuite {
     assert(index.tgm.nTokens == 601)
   }
 
+  test("insert: a rejected set leaves the index and every answer unchanged") {
+    val db: Array[Array[Int]] = Array(Array(1, 2), Array(1), Array(10, 11), Array(10))
+    val index = new Les3Index(db, new Grouping(Array(0, 0, 1, 1), 2))
+    val queries = Seq(Array(1, 2), Array(10), Array(20, 21))
+    def answers = queries.map(q => (index.range(q, 0.5).hits.toSet, index.knn(q, 3).hits.map(_.sim)))
+    val before = answers
+    for (bad <- Seq(Array(-1, 20, 21), Array(21, 20), Array(20, 20)))
+      intercept[IllegalArgumentException](index.insert(bad))
+    assert(index.nSets == 4 && index.tgm.nTokens == 12 && answers == before)
+    assert(index.insert(Array(20, 21)) == ((4, 0)))
+    val brute = new BruteForce(index.db)
+    for (q <- queries)
+      assert(index.range(q, 0.5).hits.toSet == brute.range(q, 0.5).hits.toSet)
+  }
+
+  test("size filter: a candidate whose size cannot reach δ is not verified") {
+    val db: Array[Array[Int]] = Array(Array(1), Array.range(1, 21), Array(1, 2))
+    val index = new Les3Index(db, new Grouping(Array(0, 0, 0), 1))
+    val r = index.range(Array(1), 0.9)
+    assert(r.hits.toSeq == Seq(Hit(0, 1.0)))
+    assert(r.stats.candidates == 3 && r.stats.verified == 1)
+    val k = index.knn(Array(1), 1).stats
+    assert(k.candidates == 3 && k.verified == 1)
+  }
+
   test("search stays exact after open-universe insertions (Sec 6)") {
     val rnd = new Random(43)
     val db = randomDb(60, 30, 6, 13)
