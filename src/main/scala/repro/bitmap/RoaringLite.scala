@@ -9,9 +9,10 @@ import scala.collection.mutable.ArrayBuffer
   * it holds ≤ 4096 values) or as a 1024-word bitset — the same adaptive rule
   * as the Roaring library the paper uses to compress the TGM (§3.1).
   *
-  * Mutable; not thread-safe. Only the operations the TGM needs are exposed:
-  * add, contains, cardinality, iteration, and serialized-size accounting
-  * (used for the Fig. 11 index-size comparison).
+  * Mutable: concurrent reads are safe, a write needs exclusive access. Only
+  * the operations the TGM needs are exposed: add, contains, cardinality,
+  * iteration, and serialized-size accounting (used for the Fig. 11
+  * index-size comparison).
   */
 final class RoaringLite private (
     private var keys: Array[Int],                 // sorted chunk keys (high bits)

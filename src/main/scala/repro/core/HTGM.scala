@@ -8,11 +8,11 @@ import scala.collection.mutable.ArrayBuffer
   * The L2P cascade yields nested groupings; HTGM keeps a [[TGM]] per
   * retained level plus the child links between consecutive levels; the
   * finest level is a flat [[Les3Index]], whose group verification HTGM
-  * reuses. Search proceeds best-first through the hierarchy: a coarse
-  * group's bound is probed first and, only if it survives, the bounds of
-  * its children — so a pruned coarse group eliminates all verification
-  * *and all index probing* below it, which is exactly the trade-off
-  * Fig. 14 measures.
+  * reuses. Search proceeds best-first through the hierarchy: the root
+  * level's bounds come from one all-groups pass ([[TGM.ubs]]), and a
+  * child's bound is probed only if its coarse group survives — so a pruned
+  * coarse group eliminates all verification *and all index probing* below
+  * it, which is exactly the trade-off Fig. 14 measures.
   *
   * @param levelTgms  the TGM of each level; the last is `fine.tgm`
   * @param children   children(l)(g) = ids of level-(l+1) groups nested in
@@ -36,13 +36,10 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
     val pq = mutable.PriorityQueue.empty[Entry](Ordering.by(_.ub))
     var ubProbes = 0L
     var reads = SearchStats(0, 0, 0, 0.0)
-    val t0 = levelTgms(0)
+    val roots = levelTgms(0).ubs(q)
+    ubProbes += roots.length.toLong * q.length
     var g = 0
-    while (g < t0.nGroups) {
-      ubProbes += q.length
-      pq.enqueue(Entry(0, g, t0.ub(q, g)))
-      g += 1
-    }
+    while (g < roots.length) { pq.enqueue(Entry(0, g, roots(g))); g += 1 }
     var done = false
     while (pq.nonEmpty && !done) {
       val e = pq.dequeue()
@@ -62,15 +59,17 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
   def range(q: Array[Int], delta: Double): SearchResult = {
     var ubProbes = 0L
     var frontier = Array.range(0, levelTgms(0).nGroups)
+    var ubs = levelTgms(0).ubs(q)
     var level = 0
     while (level < lastLevel) {
-      val tgm = levelTgms(level)
       ubProbes += frontier.length.toLong * q.length
-      frontier = frontier.filter(tgm.ub(q, _) >= delta).flatMap(children(level)(_))
+      frontier = frontier.indices.filter(ubs(_) >= delta).toArray.flatMap(j => children(level)(frontier(j)))
       level += 1
+      val tgm = levelTgms(level)
+      ubs = frontier.map(tgm.ub(q, _))
     }
     val hits = ArrayBuffer.empty[Hit]
-    val stats = fine.verifyRange(q, frontier, delta, hits, SearchStats(0, ubProbes, 0, 0.0))
+    val stats = fine.verifyRange(q, frontier, ubs, delta, hits, SearchStats(0, ubProbes, 0, 0.0))
     SearchResult(hits, stats)
   }
 }

@@ -9,7 +9,9 @@ import scala.collection.mutable.ArrayBuffer
   *
   * @param candidates number of candidate sets: for LES³/HTGM the members of
   *                   the groups read, the quantity of Definition 2.3
-  * @param ubProbes   number of TGM cells (group × query-token) probed
+  * @param ubProbes   number of TGM cells (group × query-token) whose bit
+  *                   the UB computation answered, whether by a row probe
+  *                   or by the one-pass column view ([[TGM.matchedAll]])
   * @param groupsRead number of groups fetched from storage
   * @param ioMs       simulated storage time under the engine's [[IOModel]]
   * @param verified   number of sets whose similarity to Q was computed; at
@@ -73,6 +75,10 @@ final class TopK(k: Int) {
   * paper's layout, §7.6), so fetching a candidate group costs one random
   * access of the group's byte footprint under `io`, and verification
   * computes the similarity only of the members whose size can qualify.
+  * Every query takes all group bounds in one pass ([[TGM.ubs]]).
+  *
+  * Concurrent queries are safe; `insert` needs a single writer and no
+  * query running at the same time.
   */
 final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Grouping,
                       val measure: SetOps.Measure = SetOps.Jaccard,
@@ -97,12 +103,12 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     total
   }
 
-  /** Probes the bound of each group in `gs` and reads the non-empty ones
-    * that reach δ: their members are candidates, those whose size bound
-    * reaches δ are verified, and those with sim ≥ δ join `hits`. Returns
-    * `s` plus the probes and reads.
+  /** Reads the non-empty groups of `gs` whose bound reaches δ, `ubs(j)`
+    * being the bound of `gs(j)`: their members are candidates, those whose
+    * size bound reaches δ are verified, and those with sim ≥ δ join `hits`.
+    * Returns `s` plus the probes and reads.
     */
-  private[core] def verifyRange(q: Array[Int], gs: Array[Int], delta: Double,
+  private[core] def verifyRange(q: Array[Int], gs: Array[Int], ubs: Array[Double], delta: Double,
                                 hits: ArrayBuffer[Hit], s: SearchStats): SearchStats = {
     var candidates = 0L
     var verified = 0L
@@ -111,7 +117,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     var j = 0
     while (j < gs.length) {
       val b = blocks(gs(j))
-      if (tgm.ub(q, gs(j)) >= delta && b.n > 0) {
+      if (ubs(j) >= delta && b.n > 0) {
         groupsRead += 1
         ioMs += io.randomAccess(groupBytes(b))
         candidates += b.n
@@ -180,7 +186,8 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     */
   def range(q: Array[Int], delta: Double): SearchResult = {
     val hits = ArrayBuffer.empty[Hit]
-    val stats = verifyRange(q, Array.range(0, tgm.nGroups), delta, hits, SearchStats(0, 0, 0, 0.0))
+    val stats = verifyRange(q, Array.range(0, tgm.nGroups), tgm.ubs(q), delta, hits,
+                            SearchStats(0, 0, 0, 0.0))
     SearchResult(hits, stats)
   }
 
@@ -193,13 +200,14 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
   def knn(q: Array[Int], k: Int): SearchResult = {
     val top = new TopK(k)
     val n = tgm.nGroups
-    val ubs = Array.tabulate(n)(tgm.ub(q, _))
+    val ubs = tgm.ubs(q)
     val order = Array.range(0, n).sortBy(g => -ubs(g))
     val stats = verifyKnn(q, order, order.map(ubs), top, SearchStats(0, n.toLong * q.length, 0, 0.0))
     SearchResult(top.hits, stats)
   }
 
-  /** Insert a new set (§6), which must be sorted-distinct and non-negative;
+  /** Insert a new set (§6), which must be sorted-distinct and non-negative,
+    * with tokens the TGM's column view can hold ([[TGM.requireTokens]]);
     * a rejected set leaves the index unchanged. The set joins the group
     * with the highest similarity upper bound to its previously-seen tokens
     * (ties → smallest group; no seen tokens → smallest group); unseen
@@ -212,12 +220,14 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
         s"insert needs sorted distinct non-negative tokens, got ${set.mkString("[", ", ", "]")}")
       i += 1
     }
+    tgm.requireTokens(set)
     val seen = set.filter(_ < tgm.nTokens)
+    val ubs = tgm.ubs(seen)
     var best = -1
     var bestUb = -1.0
     var g = 0
     while (g < tgm.nGroups) {
-      val u = if (seen.isEmpty) 0.0 else tgm.ub(seen, g)
+      val u = if (seen.isEmpty) 0.0 else ubs(g)
       if (u > bestUb || (u == bestUb && (best < 0 || blocks(g).n < blocks(best).n))) {
         best = g; bestUb = u
       }

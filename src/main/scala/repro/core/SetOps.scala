@@ -51,7 +51,10 @@ object SetOps {
     *
     * `ubFromOverlap(m, q)` is Sim(Q, R) for |R| = m matched query tokens out
     * of |Q| = q — the tight group upper bound of Eq. 2 generalized per §3.2
-    * (R itself is the best possible set).
+    * (R itself is the best possible set). It is computed as
+    * `simFromOverlap(m, q, m)`, so a member made of exactly the matched
+    * tokens reaches its group's bound bit for bit (the closed form
+    * sqrt(m/q) of Cosine rounds one ulp lower for, e.g., q = 3, m = 1).
     *
     * `sizeUb(q, r)` bounds the similarity of any set of size r to a query of
     * size q — the length filter (Bayardo et al., WWW 2007). It rises in r up
@@ -61,7 +64,9 @@ object SetOps {
     */
   sealed abstract class Measure(val name: String) {
     def simFromOverlap(inter: Int, qSize: Int, rSize: Int): Double
-    def ubFromOverlap(matched: Int, qSize: Int): Double
+
+    final def ubFromOverlap(matched: Int, qSize: Int): Double =
+      simFromOverlap(matched, qSize, matched)
 
     final def sim(a: Array[Int], b: Array[Int]): Double =
       simFromOverlap(intersectSize(a, b), a.length, b.length)
@@ -72,8 +77,6 @@ object SetOps {
   case object Jaccard extends Measure("jaccard") {
     def simFromOverlap(inter: Int, qSize: Int, rSize: Int): Double =
       if (qSize == 0 && rSize == 0) 1.0 else inter.toDouble / (qSize + rSize - inter)
-    def ubFromOverlap(matched: Int, qSize: Int): Double =
-      if (qSize == 0) 1.0 else matched.toDouble / qSize
   }
 
   case object Cosine extends Measure("cosine") {
@@ -81,16 +84,10 @@ object SetOps {
       if (qSize == 0 && rSize == 0) 1.0
       else if (qSize == 0 || rSize == 0) 0.0
       else inter / math.sqrt(qSize.toDouble * rSize)
-    // Best set is R itself: |Q∩R|/sqrt(|Q||R|) = m/sqrt(q*m) = sqrt(m/q).
-    def ubFromOverlap(matched: Int, qSize: Int): Double =
-      if (qSize == 0) 1.0 else math.sqrt(matched.toDouble / qSize)
   }
 
   case object Dice extends Measure("dice") {
     def simFromOverlap(inter: Int, qSize: Int, rSize: Int): Double =
       if (qSize == 0 && rSize == 0) 1.0 else 2.0 * inter / (qSize + rSize)
-    // Best set is R: 2m/(q+m), increasing in m.
-    def ubFromOverlap(matched: Int, qSize: Int): Double =
-      if (qSize == 0) 1.0 else 2.0 * matched / (qSize + matched)
   }
 }

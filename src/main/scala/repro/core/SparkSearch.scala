@@ -64,9 +64,9 @@ object SparkSearch {
     val spark = grouped.sparkSession
     val bc = spark.sparkContext.broadcast(tgm)
     val candGroupsUdf = udf { tokens: Seq[Int] =>
-      val q = tokens.toArray
       val t = bc.value
-      (0 until t.nGroups).filter(g => t.groupSize(g) > 0 && t.ub(q, g) >= delta)
+      val ubs = t.ubs(tokens.toArray)
+      (0 until t.nGroups).filter(g => t.groupSize(g) > 0 && ubs(g) >= delta)
     }
     broadcast(queries
       .select(col("qid"), col("tokens").as("qtokens"),
@@ -92,9 +92,7 @@ object SparkSearch {
 
     // Per-query group UBs, computed against the driver-resident TGM (the
     // same structure the executors receive for verification joins).
-    val ubs: Map[Long, Array[Double]] = queries.map { case (qid, q) =>
-      qid -> Array.tabulate(tgm.nGroups)(g => tgm.ub(q, g))
-    }.toMap
+    val ubs: Map[Long, Array[Double]] = queries.map { case (qid, q) => qid -> tgm.ubs(q) }.toMap
     val queryTokens = queries.toMap
     val measure = tgm.measure
 

@@ -8,9 +8,22 @@ import scala.collection.mutable.ArrayBuffer
   * compressed bitmaps ([[RoaringLite]]), making the whole index a bitmap
   * collection exactly as the paper describes.
   *
+  * Beside the rows, the matrix keeps a column view for the all-groups UB
+  * pass: token t owns ⌈G/64⌉ words of one flat `Array[Long]`, and bit g of
+  * them is M[g, t]. [[matchedAll]] then counts every group's matched tokens
+  * in one pass over Q, touching only the set bits of Q's columns, instead
+  * of one row probe per group. The writers (`addGroup`, `addSet`,
+  * `addTokensOnly`) keep the view current; readers never change it.
+  *
   * The matrix is mutable to support §6's update handling: groups can absorb
   * new sets and the token universe can grow (`nTokens` tracks the largest
-  * universe seen; bitmaps are sparse so growth costs nothing).
+  * universe seen; rows are sparse, and the column view grows by doubling).
+  * The column view bounds the token ids: a writer rejects a token whose
+  * column would take the view past [[TGM.MaxColumnLongs]] words, before
+  * changing the rows or the view.
+  *
+  * Concurrent reads are safe; a write needs a single writer and no reader
+  * running at the same time.
   *
   * @param measure similarity measure; must satisfy the TGM Applicability
   *                Property (Thm 3.1) — Jaccard / Cosine / Dice here do.
@@ -22,41 +35,91 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
   /** Current token-universe size (max token id + 1 over everything indexed). */
   var nTokens: Int = 0
 
+  // The column view: token t's groups are the bits of
+  // cols(t * words until (t + 1) * words), with room for colTokens tokens.
+  private var words = 0
+  private var colTokens = 0
+  private var cols = new Array[Long](0)
+
   def nGroups: Int = rows.length
   def groupSize(g: Int): Int = sizes(g)
   def groupSizes: IndexedSeq[Int] = sizes.toIndexedSeq
 
   /** Append an empty group; returns its id. */
   def addGroup(): Int = {
+    val g = rows.length
+    if ((g & 63) == 0) relayout(words + 1, colTokens)
     rows += RoaringLite.empty()
     sizes += 0
-    rows.length - 1
+    g
+  }
+
+  /** Copies the column view into `newWords` words per token for
+    * `newTokens` tokens; rejects a view past [[TGM.MaxColumnLongs]] before
+    * changing anything.
+    */
+  private def relayout(newWords: Int, newTokens: Long): Unit = {
+    val longs = newWords.toLong * newTokens
+    require(longs <= TGM.MaxColumnLongs,
+      s"the column view would need $longs longs for $newTokens tokens, over the limit of ${TGM.MaxColumnLongs}")
+    val next = new Array[Long](longs.toInt)
+    if (newWords == words) System.arraycopy(cols, 0, next, 0, cols.length)
+    else {
+      var t = 0
+      while (t < colTokens) { System.arraycopy(cols, t * words, next, t * newWords, words); t += 1 }
+    }
+    cols = next; words = newWords; colTokens = newTokens.toInt
+  }
+
+  /** Checks that every token is non-negative and that the column view can
+    * hold the largest, (max + 1) · ⌈G/64⌉ ≤ [[TGM.MaxColumnLongs]]; returns
+    * that largest token (-1 for none). Changes nothing.
+    */
+  private[core] def requireTokens(tokens: Array[Int]): Int = {
+    var top = -1
+    var i = 0
+    while (i < tokens.length) {
+      require(tokens(i) >= 0, s"TGM tokens are non-negative, got ${tokens(i)}")
+      top = math.max(top, tokens(i))
+      i += 1
+    }
+    require((top + 1L) * math.max(words, 1) <= TGM.MaxColumnLongs,
+      s"token $top needs a column view of ${(top + 1L) * math.max(words, 1)} longs, over the limit of ${TGM.MaxColumnLongs}")
+    top
+  }
+
+  /** Sets M[g, t] for every t in `tokens`, in the row and the column view;
+    * a rejected token leaves both unchanged.
+    */
+  private def mark(g: Int, tokens: Array[Int]): Unit = {
+    val bm = rows(g)
+    val top = requireTokens(tokens)
+    if (top >= colTokens)
+      relayout(words, math.min(math.max(top + 1L, 2L * colTokens), TGM.MaxColumnLongs / words))
+    val word = g >>> 6
+    val bit = 1L << (g & 63)
+    var i = 0
+    while (i < tokens.length) {
+      val t = tokens(i)
+      bm.add(t)
+      cols(t * words + word) |= bit
+      i += 1
+    }
+    if (top >= nTokens) nTokens = top + 1
   }
 
   /** Bulk-build hook: mark tokens present in group `g` without changing its
     * size (used when the bitmap content arrives pre-aggregated, e.g. from a
     * Spark `collect_set`).
     */
-  def addTokensOnly(g: Int, tokens: Iterable[Int]): Unit = {
-    val bm = rows(g)
-    for (t <- tokens) {
-      bm.add(t)
-      if (t >= nTokens) nTokens = t + 1
-    }
-  }
+  def addTokensOnly(g: Int, tokens: Iterable[Int]): Unit = mark(g, tokens.toArray)
 
   /** Bulk-build hook: set the recorded size of group `g`. */
   def setSize(g: Int, n: Int): Unit = sizes(g) = n
 
   /** Record that one set with the given tokens joined group `g`. */
   def addSet(g: Int, tokens: Array[Int]): Unit = {
-    val bm = rows(g)
-    var i = 0
-    while (i < tokens.length) {
-      bm.add(tokens(i))
-      if (tokens(i) >= nTokens) nTokens = tokens(i) + 1
-      i += 1
-    }
+    mark(g, tokens)
     sizes(g) += 1
   }
 
@@ -65,11 +128,50 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
     */
   def matched(q: Array[Int], g: Int): Int = rows(g).countContained(q)
 
+  /** [[matched]] for every group at once, from the column view: one pass
+    * over `q` (sorted-distinct) costing Σ_{t ∈ Q} |groups holding t|.
+    */
+  def matchedAll(q: Array[Int]): Array[Int] = {
+    val counts = new Array[Int](nGroups)
+    val c = cols; val w = words; val n = colTokens
+    var i = 0
+    while (i < q.length) {
+      val t = q(i)
+      if (t >= 0 && t < n) {
+        var k = 0
+        while (k < w) {
+          var bits = c(t * w + k)
+          while (bits != 0) {
+            counts((k << 6) + java.lang.Long.numberOfTrailingZeros(bits)) += 1
+            bits &= bits - 1
+          }
+          k += 1
+        }
+      }
+      i += 1
+    }
+    counts
+  }
+
   /** The similarity upper bound UB(Q, G_g) of Eq. 2 / Thm 3.1. */
   def ub(q: Array[Int], g: Int): Double = measure.ubFromOverlap(matched(q, g), q.length)
 
-  /** Compressed index size in bytes (Fig. 11). */
+  /** [[ub]] for every group at once, in one [[matchedAll]] pass. */
+  def ubs(q: Array[Int]): Array[Double] = {
+    val m = matchedAll(q)
+    val out = new Array[Double](m.length)
+    var g = 0
+    while (g < m.length) { out(g) = measure.ubFromOverlap(m(g), q.length); g += 1 }
+    out
+  }
+
+  /** Compressed index size in bytes (Fig. 11): the Roaring rows only. */
   def sizeBytes: Long = rows.iterator.map(_.sizeBytes).sum
+
+  /** Bytes held by the column view, ≈ nTokens · ⌈G/64⌉ · 8: memory the
+    * all-groups UB pass costs on top of [[sizeBytes]].
+    */
+  def columnBytes: Long = cols.length * 8L
 
   /** Distinct tokens present in group `g` (|GS_g|, the per-group term of
     * the U metric, Eq. 10).
@@ -79,12 +181,23 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
 
 object TGM {
 
-  /** Build a TGM from a database and a partitioning. */
+  /** Most `Long` words the column view may hold: 2^27, i.e. 1 GiB. A token
+    * t is accepted only while (t + 1) · ⌈G/64⌉ stays within it (about 67M
+    * tokens at G ≤ 128), and a group only while the view re-laid out for
+    * ⌈(G + 1)/64⌉ words a token does.
+    */
+  val MaxColumnLongs: Long = 1L << 27
+
+  /** Build a TGM from a database and a partitioning. The column view is
+    * sized once for the database's largest token, then filled by `addSet`.
+    */
   def build(db: collection.IndexedSeq[Array[Int]], grouping: Grouping,
             measure: SetOps.Measure = SetOps.Jaccard): TGM = {
     val tgm = new TGM(measure)
     var g = 0
     while (g < grouping.nGroups) { tgm.addGroup(); g += 1 }
+    val universe = db.iterator.map(s => if (s.isEmpty) 0L else s.max + 1L).foldLeft(0L)(math.max)
+    if (tgm.words > 0 && universe > 0) tgm.relayout(tgm.words, universe)
     var sid = 0
     while (sid < db.length) {
       tgm.addSet(grouping.assignment(sid), db(sid))

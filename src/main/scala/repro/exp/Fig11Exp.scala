@@ -6,6 +6,8 @@ import repro.data.SetGen
 /** Fig. 11 — index size and construction time of LES³ (TGM, with L2P
   * training as its construction cost) vs DualTrans and InvIdx. The paper
   * reports the TGM needing up to 90% less space than either baseline.
+  * `LES3(TGM)` is the paper's quantity, the compressed rows; the
+  * `LES3(TGM+columns)` row adds the column view the in-memory engine keeps.
   */
 object Fig11Exp {
 
@@ -21,6 +23,7 @@ object Fig11Exp {
       val (inv, invMs) = Harness.timeMs(new InvIdx(db))
       Seq(
         Row(p.name, "LES3(TGM)", les3Size, built.partitionMs),
+        Row(p.name, "LES3(TGM+columns)", les3Size + built.index.tgm.columnBytes, built.partitionMs),
         Row(p.name, "DualTrans", dual.sizeBytes, dualMs),
         Row(p.name, "InvIdx", inv.sizeBytes, invMs),
       )

@@ -90,6 +90,32 @@ class ExactnessPropsSpec extends AnyFunSuite {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(150), prop)
     assert(res.passed, res.toString)
   }
+
+  test("every group bound reaches each member's similarity exactly, with no slack") {
+    // Queries that extend a member make that member the group's matched
+    // tokens often: the case where the bound must equal its similarity.
+    val genQuery = (db: Array[Array[Int]]) => Gen.oneOf(genSet, for {
+      s <- Gen.oneOf(db.toSeq)
+      extra <- Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.choose(0, NTokens - 1)))
+    } yield SetOps.canon(s ++ extra))
+    val genBounds = for {
+      c <- genCase
+      qs <- Gen.listOfN(4, genQuery(c.db))
+    } yield (c, qs)
+    val prop = Prop.forAll(genBounds) { case (c, qs) =>
+      Measures.forall { m =>
+        val index = new Les3Index(c.db, new Grouping(c.fine, c.nCoarse * Splits), m)
+        qs.forall { q =>
+          val ubs = index.tgm.ubs(q)
+          (0 until index.tgm.nGroups).forall { g =>
+            ubs(g) == index.tgm.ub(q, g) && index.members(g).forall(sid => ubs(g) >= m.sim(q, c.db(sid)))
+          }
+        }
+      }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.toString)
+  }
 }
 
 object ExactnessPropsSpec {

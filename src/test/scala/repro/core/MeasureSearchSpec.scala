@@ -73,4 +73,16 @@ class MeasureSearchSpec extends AnyFunSuite {
     assert(index.knn(q, 5).hits.map(_.sim).toSeq.sorted ==
            bruteKnn(all, q, 5, SetOps.Cosine).sorted)
   }
+
+  test("cosine: a member made of exactly the matched tokens reaches its group's bound") {
+    // |Q| = 3, G0 = {{0}}: sim = 1/sqrt(3), which sqrt(1/3) undershoots by
+    // one ulp. G1's only member has sim 3/sqrt(27), that lower neighbour.
+    val q = Array(0, 1, 2)
+    val db = Array(Array(0), Array(0, 1, 2, 10, 11, 12, 13, 14, 15))
+    val index = new Les3Index(db, new Grouping(Array(0, 1), 2), SetOps.Cosine)
+    val delta = 1.0 / math.sqrt(3.0)
+    assert(SetOps.Cosine.sim(q, db(0)) == delta && SetOps.Cosine.sim(q, db(1)) < delta)
+    assert(index.range(q, delta).hits.map(_.sid).toSeq == Seq(0))
+    assert(index.knn(q, 1).hits.map(h => (h.sid, h.sim)).toSeq == Seq((0, delta)))
+  }
 }

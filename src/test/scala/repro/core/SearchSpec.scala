@@ -162,6 +162,20 @@ class SearchSpec extends AnyFunSuite {
       assert(index.range(q, 0.5).hits.toSet == brute.range(q, 0.5).hits.toSet)
   }
 
+  test("insert: a token past the TGM column-view limit is rejected, answers unchanged") {
+    val db = randomDb(130, 60, 8, 17)
+    val index = new Les3Index(db, Grouping.random(db.length, 65, 3))
+    val brute = new BruteForce(db)
+    intercept[IllegalArgumentException](index.insert(Array(1 << 30)))
+    intercept[IllegalArgumentException](index.insert(Array(5, 1 << 30)))
+    assert(index.nSets == db.length && index.tgm.nTokens <= 60)
+    val rnd = new Random(18)
+    for (q <- Seq.fill(20)(db(rnd.nextInt(db.length))) ++ Seq(Array(5, 1 << 30), Array.empty[Int])) {
+      assert(index.range(q, 0.5).hits.toSet == brute.range(q, 0.5).hits.toSet)
+      assert(index.knn(q, 5).hits.map(_.sim).sorted == brute.knn(q, 5).hits.map(_.sim).sorted)
+    }
+  }
+
   test("size filter: a candidate whose size cannot reach δ is not verified") {
     val db: Array[Array[Int]] = Array(Array(1), Array.range(1, 21), Array(1, 2))
     val index = new Les3Index(db, new Grouping(Array(0, 0, 0), 1))

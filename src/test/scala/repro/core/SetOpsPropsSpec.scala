@@ -57,7 +57,7 @@ class SetOpsPropsSpec extends AnyFunSuite {
         val g = new Grouping(Array.tabulate(db.length)(_ % 3), 3)
         val tgm = TGM.build(db, g, m)
         db.indices.forall { sid =>
-          tgm.ub(q, g.assignment(sid)) + 1e-12 >= m.sim(q, db(sid))
+          tgm.ub(q, g.assignment(sid)) >= m.sim(q, db(sid))
         }
       })
     }

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import scala.util.Random
 
 class TGMSpec extends AnyFunSuite {
@@ -54,7 +56,7 @@ class TGMSpec extends AnyFunSuite {
       val tgm = TGM.build(db, g)
       val q = SetOps.canon(Seq.fill(rnd.nextInt(10) + 1)(rnd.nextInt(60)))
       for (grp <- 0 until 8; sid <- g.members(grp)) {
-        assert(tgm.ub(q, grp) + 1e-12 >= SetOps.jaccard(q, db(sid)),
+        assert(tgm.ub(q, grp) >= SetOps.jaccard(q, db(sid)),
           s"UB violated for group $grp set $sid")
       }
     }
@@ -70,7 +72,7 @@ class TGMSpec extends AnyFunSuite {
       for (_ <- 1 to 10) {
         val q = SetOps.canon(Seq.fill(rnd.nextInt(8) + 1)(rnd.nextInt(40)))
         for (grp <- 0 until 6; sid <- g.members(grp)) {
-          assert(tgm.ub(q, grp) + 1e-12 >= m.sim(q, db(sid)))
+          assert(tgm.ub(q, grp) >= m.sim(q, db(sid)))
         }
       }
     }
@@ -133,5 +135,120 @@ class TGMSpec extends AnyFunSuite {
       assert(bulk.matched(q, grp) == inc.matched(q, grp))
       assert(bulk.groupSize(grp) == inc.groupSize(grp))
     }
+  }
+
+  // --- the column view: matchedAll must equal the row probe for every group
+
+  private def randomSet(rnd: Random, nTokens: Int, maxSize: Int): Array[Int] =
+    SetOps.canon(Seq.fill(rnd.nextInt(maxSize + 1))(rnd.nextInt(nTokens)))
+
+  /** Sorted-distinct queries over and past the universe: empty, negative
+    * tokens, tokens ≥ nTokens, and random ones.
+    */
+  private def queries(rnd: Random, nTokens: Int): Seq[Array[Int]] =
+    Seq(Array.empty[Int], Array(-5, -1), Array(-3, 0, 1, nTokens - 1, nTokens, nTokens + 70),
+        Array(nTokens, 1 << 20), Array.range(0, nTokens)) ++
+      Seq.fill(20)(SetOps.canon(Seq.fill(rnd.nextInt(30))(rnd.nextInt(nTokens + 20) - 10)))
+
+  private def assertColumnsMatchRows(tgm: TGM, qs: Seq[Array[Int]]): Unit =
+    for (q <- qs) {
+      val all = tgm.matchedAll(q)
+      val ubs = tgm.ubs(q)
+      assert(all.length == tgm.nGroups && ubs.length == tgm.nGroups)
+      for (g <- 0 until tgm.nGroups) {
+        assert(all(g) == tgm.matched(q, g), s"group $g, query ${q.mkString(",")}")
+        assert(ubs(g) == tgm.ub(q, g))
+      }
+    }
+
+  private def roundTrip(tgm: TGM): TGM = {
+    val bos = new ByteArrayOutputStream()
+    val oos = new ObjectOutputStream(bos)
+    oos.writeObject(tgm)
+    oos.close()
+    new ObjectInputStream(new ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[TGM]
+  }
+
+  test("column view equals the rows for G in {1, 63, 64, 65, 130}") {
+    val rnd = new Random(41)
+    for (nGroups <- Seq(1, 63, 64, 65, 130)) {
+      val db = Array.fill(400)(randomSet(rnd, 200, 12))
+      val tgm = TGM.build(db, Grouping.random(db.length, nGroups, rnd.nextLong()))
+      assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens))
+      assert(tgm.columnBytes == tgm.nTokens * ((nGroups + 63) / 64) * 8L)
+    }
+  }
+
+  test("a token past the column-view limit is rejected before the rows or the view change") {
+    val rnd = new Random(46)
+    val db = Array.fill(200)(randomSet(rnd, 100, 10))
+    val tgm = TGM.build(db, Grouping.random(db.length, 65, 5))
+    val (tokens, bytes, rowBytes) = (tgm.nTokens, tgm.columnBytes, tgm.sizeBytes)
+    // 2 words a token: (2^30 + 1) · 2 longs would wrap an Int product
+    for (bad <- Seq(Array(3, 1 << 30), Array(7, Int.MaxValue), Array(-1, 4)))
+      intercept[IllegalArgumentException](tgm.addSet(0, bad))
+    intercept[IllegalArgumentException](tgm.addTokensOnly(64, Seq(1 << 30)))
+    assert(tgm.nTokens == tokens && tgm.columnBytes == bytes && tgm.sizeBytes == rowBytes)
+    assert(tgm.matched(Array(3, 7), 0) == tgm.matchedAll(Array(3, 7))(0))
+    assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens) :+ Array(1 << 30))
+    // the largest token the limit admits at 2 words a token is accepted
+    val top = (TGM.MaxColumnLongs / 2 - 1).toInt
+    intercept[IllegalArgumentException](tgm.requireTokens(Array(top + 1)))
+    assert(tgm.requireTokens(Array(0, top)) == top)
+    val g65 = new Grouping(Array.range(0, 65), 65)
+    intercept[IllegalArgumentException](TGM.build(Array.fill(65)(Array(1 << 30)), g65))
+    intercept[IllegalArgumentException](TGM.build(Array(Array(-1, 2)), new Grouping(Array(0), 1)))
+  }
+
+  test("column view follows groups added after sets, across multiples of 64") {
+    val rnd = new Random(42)
+    val tgm = new TGM(SetOps.Cosine)
+    for (g <- 0 until 130) {
+      tgm.addGroup()
+      // sets land in old and new groups, so the re-laid-out words must keep earlier bits
+      for (_ <- 0 until 3) tgm.addSet(rnd.nextInt(g + 1), randomSet(rnd, 150, 10))
+      if (g % 16 == 0 || g == 63 || g == 64 || g == 65) assertColumnsMatchRows(tgm, queries(rnd, 150))
+    }
+    assertColumnsMatchRows(tgm, queries(rnd, 150))
+  }
+
+  test("column view from the addTokensOnly + setSize build") {
+    val rnd = new Random(43)
+    val tgm = new TGM()
+    (0 until 70).foreach(_ => tgm.addGroup())
+    // collect_set order: unsorted, large tokens first
+    for (g <- 0 until 70) {
+      tgm.addTokensOnly(g, rnd.shuffle(randomSet(rnd, 500, 40).toSeq))
+      tgm.setSize(g, rnd.nextInt(9))
+    }
+    assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens))
+  }
+
+  test("column view grows with open-universe addSet") {
+    val rnd = new Random(44)
+    val db = Array.fill(100)(randomSet(rnd, 50, 8))
+    val tgm = TGM.build(db, Grouping.random(db.length, 66, 3))
+    for (i <- 1 to 40) {
+      tgm.addSet(rnd.nextInt(66), SetOps.canon(Seq(rnd.nextInt(50), 50 + i * 37, 10000 + i)))
+      assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens))
+    }
+    assert(tgm.matchedAll(Array(10040)).sum == 1)
+  }
+
+  test("column view survives Java serialization") {
+    val rnd = new Random(45)
+    val db = Array.fill(300)(randomSet(rnd, 120, 10))
+    val tgm = TGM.build(db, Grouping.random(db.length, 65, 8), SetOps.Dice)
+    val copy = roundTrip(tgm)
+    assert(copy.columnBytes == tgm.columnBytes && copy.sizeBytes == tgm.sizeBytes)
+    for (q <- queries(rnd, tgm.nTokens)) {
+      assert(copy.matchedAll(q).sameElements(tgm.matchedAll(q)))
+      assert(copy.ubs(q).sameElements(tgm.ubs(q)))
+    }
+    assertColumnsMatchRows(copy, queries(rnd, tgm.nTokens))
+    // a deserialized matrix is still writable
+    copy.addGroup()
+    copy.addSet(65, Array(3, 999))
+    assertColumnsMatchRows(copy, queries(rnd, copy.nTokens))
   }
 }
