@@ -16,6 +16,7 @@ final class BruteForce(db: collection.IndexedSeq[Array[Int]],
   private val totalBytes: Long = db.iterator.map(s => io.dataBytes(s.length)).sum
 
   def range(q: Array[Int], delta: Double): SearchResult = {
+    SetOps.requireCanonical(q, "range")
     val hits = ArrayBuffer.empty[Hit]
     var sid = 0
     while (sid < db.length) {
@@ -27,6 +28,7 @@ final class BruteForce(db: collection.IndexedSeq[Array[Int]],
   }
 
   def knn(q: Array[Int], k: Int): SearchResult = {
+    SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
     var sid = 0
     while (sid < db.length) { top.offer(sid, measure.sim(q, db(sid))); sid += 1 }

@@ -73,6 +73,7 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
   }
 
   def range(q: Array[Int], delta: Double): SearchResult = {
+    SetOps.requireCanonical(q, "range")
     val qVec = vec(q)
     val hits = ArrayBuffer.empty[Hit]
     var candidates = 0L
@@ -90,6 +91,7 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
   }
 
   def knn(q: Array[Int], k: Int): SearchResult = {
+    SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
     val qVec = vec(q)
     var candidates = 0L

@@ -44,9 +44,10 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
     r
   }
 
-  /** Per-set tokens sorted rarest-first. */
-  private val rareSorted: Array[Array[Int]] =
-    db.iterator.map(s => s.sortBy(rankOf(_))).toArray
+  /** The empty sets: no posting list leads to them, and they alone reach an
+    * empty query (Jaccard 1).
+    */
+  private val empties: Array[Int] = db.indices.filter(db(_).isEmpty).toArray
 
   /** Full inverted index: token → ascending sids. */
   private val postings: Array[Array[Int]] = {
@@ -76,8 +77,12 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
   }
 
   def range(q: Array[Int], delta: Double): SearchResult = {
+    SetOps.requireCanonical(q, "range")
     require(delta > 0.0, "InvIdx range requires delta > 0")
-    if (q.isEmpty) return SearchResult(ArrayBuffer.empty, SearchStats(0, 0, 0, 0.0))
+    if (q.isEmpty) {
+      val hits = if (1.0 >= delta) ArrayBuffer.from(empties.map(Hit(_, 1.0))) else ArrayBuffer.empty[Hit]
+      return SearchResult(hits, SearchStats(empties.length, 0, 0, 0.0))
+    }
     val qs = sortQuery(q)
     val p = prefixLen(qs.length, delta)
     val seen = new java.util.HashSet[Int]()
@@ -108,13 +113,20 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
 
   /** kNN via δ-decreasing filtering with step `z` (§7.6). */
   def knn(q: Array[Int], k: Int, z: Double): SearchResult = {
+    SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
     val qs = sortQuery(q)
     val seen = new java.util.HashSet[Int]()
     var ioMs = 0.0
     var candidates = 0L
     var delta = 1.0
-    var done = q.isEmpty
+    var done = false
+    if (q.isEmpty) {
+      // Only the empty sets score above 0; the fill below adds the rest.
+      for (sid <- empties) { top.offer(sid, 1.0); seen.add(sid) }
+      candidates += empties.length
+      delta = 0.0
+    }
 
     while (!done) {
       if (qs.nonEmpty) {

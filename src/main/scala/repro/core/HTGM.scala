@@ -30,6 +30,7 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
     * (ubProbes counts cells probed across *all* levels).
     */
   def knn(q: Array[Int], k: Int): SearchResult = {
+    SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
     // Entries are (level, group, ub); fine-level entries get verified.
     final case class Entry(level: Int, g: Int, ub: Double)
@@ -57,6 +58,7 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
 
   /** Range search with hierarchical pruning. */
   def range(q: Array[Int], delta: Double): SearchResult = {
+    SetOps.requireCanonical(q, "range")
     var ubProbes = 0L
     var frontier = Array.range(0, levelTgms(0).nGroups)
     var ubs = levelTgms(0).ubs(q)

@@ -10,8 +10,7 @@ import scala.collection.mutable.ArrayBuffer
   * @param candidates number of candidate sets: for LES³/HTGM the members of
   *                   the groups read, the quantity of Definition 2.3
   * @param ubProbes   number of TGM cells (group × query-token) whose bit
-  *                   the UB computation answered, whether by a row probe
-  *                   or by the one-pass column view ([[TGM.matchedAll]])
+  *                   the UB computation answered
   * @param groupsRead number of groups fetched from storage
   * @param ioMs       simulated storage time under the engine's [[IOModel]]
   * @param verified   number of sets whose similarity to Q was computed; at
@@ -40,7 +39,11 @@ final case class Hit(sid: Int, sim: Double)
 /** Hits of one query (kNN hits sorted by descending similarity) + its stats. */
 final case class SearchResult(hits: ArrayBuffer[Hit], stats: SearchStats)
 
-/** An exact in-memory engine: range (Definition 2.2) and kNN (Definition 2.1). */
+/** An exact in-memory engine: range (Definition 2.2) and kNN (Definition 2.1).
+  * Queries must be canonical (sorted, distinct, non-negative tokens); an
+  * engine rejects any other with `IllegalArgumentException`
+  * ([[SetOps.requireCanonical]]).
+  */
 trait SimilarityIndex {
   def range(q: Array[Int], delta: Double): SearchResult
   def knn(q: Array[Int], k: Int): SearchResult
@@ -185,6 +188,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     * bound reaches δ.
     */
   def range(q: Array[Int], delta: Double): SearchResult = {
+    SetOps.requireCanonical(q, "range")
     val hits = ArrayBuffer.empty[Hit]
     val stats = verifyRange(q, Array.range(0, tgm.nGroups), tgm.ubs(q), delta, hits,
                             SearchStats(0, 0, 0, 0.0))
@@ -198,6 +202,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     * interchangeable with it under Definition 2.1, so the cut uses ≤.
     */
   def knn(q: Array[Int], k: Int): SearchResult = {
+    SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
     val n = tgm.nGroups
     val ubs = tgm.ubs(q)
@@ -214,12 +219,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     * tokens simply extend the matrix. Returns (set id, group id).
     */
   def insert(set: Array[Int]): (Int, Int) = {
-    var i = 0
-    while (i < set.length) {
-      require(set(i) >= 0 && (i == 0 || set(i - 1) < set(i)),
-        s"insert needs sorted distinct non-negative tokens, got ${set.mkString("[", ", ", "]")}")
-      i += 1
-    }
+    SetOps.requireCanonical(set, "insert")
     tgm.requireTokens(set)
     val seen = set.filter(_ < tgm.nTokens)
     val ubs = tgm.ubs(seen)

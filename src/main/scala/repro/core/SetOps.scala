@@ -17,6 +17,16 @@ object SetOps {
     a
   }
 
+  /** Throws `IllegalArgumentException` unless `tokens` is canonical:
+    * sorted, distinct and non-negative. `what` names the caller.
+    */
+  def requireCanonical(tokens: Array[Int], what: String): Unit = {
+    var i = 0
+    while (i < tokens.length && tokens(i) >= 0 && (i == 0 || tokens(i - 1) < tokens(i))) i += 1
+    if (i < tokens.length) throw new IllegalArgumentException(
+      s"$what needs sorted distinct non-negative tokens, got ${tokens.mkString("[", ", ", "]")}")
+  }
+
   /** |a ∩ b| by linear merge; both inputs must be sorted-distinct. */
   def intersectSize(a: Array[Int], b: Array[Int]): Int = intersectSize(a, b, 0, b.length)
 

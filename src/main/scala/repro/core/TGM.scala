@@ -1,26 +1,23 @@
 package repro.core
 
-import repro.bitmap.RoaringLite
 import scala.collection.mutable.ArrayBuffer
 
 /** The token-group matrix (§3.1, Eq. 1): one bit per (group, token), with
-  * M[g, t] = 1 iff some set in group g contains token t. Rows are stored as
-  * compressed bitmaps ([[RoaringLite]]), making the whole index a bitmap
-  * collection exactly as the paper describes.
+  * M[g, t] = 1 iff some set in group g contains token t.
   *
-  * Beside the rows, the matrix keeps a column view for the all-groups UB
-  * pass: token t owns ⌈G/64⌉ words of one flat `Array[Long]`, and bit g of
-  * them is M[g, t]. [[matchedAll]] then counts every group's matched tokens
-  * in one pass over Q, touching only the set bits of Q's columns, instead
-  * of one row probe per group. The writers (`addGroup`, `addSet`,
-  * `addTokensOnly`) keep the view current; readers never change it.
+  * The matrix is stored once, as a column view: token t owns ⌈G/64⌉ words
+  * of one flat `Array[Long]`, and bit g of them is M[g, t]. [[matchedAll]]
+  * counts every group's matched tokens in one pass over Q, touching only
+  * the set bits of Q's columns; [[matched]] answers one group with |Q| bit
+  * tests. The writers (`addGroup`, `addSet`, `addTokensOnly`) keep the view
+  * current; readers never change it. [[sizeBytes]] reports the size the
+  * matrix takes Roaring-compressed by rows, as the paper stores it.
   *
   * The matrix is mutable to support §6's update handling: groups can absorb
   * new sets and the token universe can grow (`nTokens` tracks the largest
-  * universe seen; rows are sparse, and the column view grows by doubling).
-  * The column view bounds the token ids: a writer rejects a token whose
-  * column would take the view past [[TGM.MaxColumnLongs]] words, before
-  * changing the rows or the view.
+  * universe seen; the view grows by doubling). The view is dense in the
+  * token id, so a writer rejects a token whose column would take it past
+  * [[TGM.MaxColumnLongs]] words, before changing anything.
   *
   * Concurrent reads are safe; a write needs a single writer and no reader
   * running at the same time.
@@ -30,10 +27,8 @@ import scala.collection.mutable.ArrayBuffer
   */
 final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializable {
 
-  private val rows = ArrayBuffer.empty[RoaringLite]
   private val sizes = ArrayBuffer.empty[Int]
-  /** Current token-universe size (max token id + 1 over everything indexed). */
-  var nTokens: Int = 0
+  private var universe = 0
 
   // The column view: token t's groups are the bits of
   // cols(t * words until (t + 1) * words), with room for colTokens tokens.
@@ -41,15 +36,16 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
   private var colTokens = 0
   private var cols = new Array[Long](0)
 
-  def nGroups: Int = rows.length
+  /** Current token-universe size (max token id + 1 over everything indexed). */
+  def nTokens: Int = universe
+  def nGroups: Int = sizes.length
   def groupSize(g: Int): Int = sizes(g)
   def groupSizes: IndexedSeq[Int] = sizes.toIndexedSeq
 
   /** Append an empty group; returns its id. */
   def addGroup(): Int = {
-    val g = rows.length
+    val g = sizes.length
     if ((g & 63) == 0) relayout(words + 1, colTokens)
-    rows += RoaringLite.empty()
     sizes += 0
     g
   }
@@ -88,28 +84,23 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
     top
   }
 
-  /** Sets M[g, t] for every t in `tokens`, in the row and the column view;
-    * a rejected token leaves both unchanged.
+  /** Sets M[g, t] for every t in `tokens`; a rejected token leaves the
+    * view unchanged.
     */
   private def mark(g: Int, tokens: Array[Int]): Unit = {
-    val bm = rows(g)
+    java.util.Objects.checkIndex(g, nGroups)
     val top = requireTokens(tokens)
     if (top >= colTokens)
       relayout(words, math.min(math.max(top + 1L, 2L * colTokens), TGM.MaxColumnLongs / words))
     val word = g >>> 6
     val bit = 1L << (g & 63)
     var i = 0
-    while (i < tokens.length) {
-      val t = tokens(i)
-      bm.add(t)
-      cols(t * words + word) |= bit
-      i += 1
-    }
-    if (top >= nTokens) nTokens = top + 1
+    while (i < tokens.length) { cols(tokens(i) * words + word) |= bit; i += 1 }
+    if (top >= universe) universe = top + 1
   }
 
   /** Bulk-build hook: mark tokens present in group `g` without changing its
-    * size (used when the bitmap content arrives pre-aggregated, e.g. from a
+    * size (used when the group's tokens arrive pre-aggregated, e.g. from a
     * Spark `collect_set`).
     */
   def addTokensOnly(g: Int, tokens: Iterable[Int]): Unit = mark(g, tokens.toArray)
@@ -123,13 +114,27 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
     sizes(g) += 1
   }
 
-  /** |GS_g ∩ Q| — the matched-token count of Eq. 4. Tokens outside the
-    * universe contribute 0 (the M[*, t'] = 0 convention of §3.1).
+  /** |GS_g ∩ Q| — the matched-token count of Eq. 4, one bit test per query
+    * token. Tokens outside the universe contribute 0 (the M[*, t'] = 0
+    * convention of §3.1).
     */
-  def matched(q: Array[Int], g: Int): Int = rows(g).countContained(q)
+  def matched(q: Array[Int], g: Int): Int = {
+    java.util.Objects.checkIndex(g, nGroups)
+    val c = cols; val w = words; val n = colTokens
+    val word = g >>> 6
+    val bit = 1L << (g & 63)
+    var count = 0
+    var i = 0
+    while (i < q.length) {
+      val t = q(i)
+      if (t >= 0 && t < n && (c(t * w + word) & bit) != 0) count += 1
+      i += 1
+    }
+    count
+  }
 
-  /** [[matched]] for every group at once, from the column view: one pass
-    * over `q` (sorted-distinct) costing Σ_{t ∈ Q} |groups holding t|.
+  /** [[matched]] for every group at once: one pass over `q`
+    * (sorted-distinct) costing Σ_{t ∈ Q} |groups holding t|.
     */
   def matchedAll(q: Array[Int]): Array[Int] = {
     val counts = new Array[Int](nGroups)
@@ -165,18 +170,20 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
     out
   }
 
-  /** Compressed index size in bytes (Fig. 11): the Roaring rows only. */
-  def sizeBytes: Long = rows.iterator.map(_.sizeBytes).sum
-
-  /** Bytes held by the column view, ≈ nTokens · ⌈G/64⌉ · 8: memory the
-    * all-groups UB pass costs on top of [[sizeBytes]].
+  /** Compressed index size in bytes (Fig. 11): the serialized size of the
+    * matrix's rows as Roaring bitmaps (Chambi et al., SPE 2016). Each
+    * (group, 2^16-token chunk) holding c > 0 tokens costs a 4-byte key plus
+    * an array container of 2c bytes, or an 8 KiB bitmap container past
+    * 4,096 values: 4 + min(2c, 8192). Each chunk's counts c are one
+    * [[matchedAll]] over its tokens.
     */
+  def sizeBytes: Long =
+    (0 until universe by 65536).iterator
+      .flatMap(base => matchedAll(Array.range(base, math.min(universe, base + 65536))))
+      .filter(_ > 0).map(c => 4L + math.min(2 * c, 8192)).sum
+
+  /** Bytes the column view holds in memory, ≈ nTokens · ⌈G/64⌉ · 8. */
   def columnBytes: Long = cols.length * 8L
-
-  /** Distinct tokens present in group `g` (|GS_g|, the per-group term of
-    * the U metric, Eq. 10).
-    */
-  def groupTokenCount(g: Int): Long = rows(g).cardinality
 }
 
 object TGM {

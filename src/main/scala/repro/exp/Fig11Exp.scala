@@ -6,8 +6,8 @@ import repro.data.SetGen
 /** Fig. 11 — index size and construction time of LES³ (TGM, with L2P
   * training as its construction cost) vs DualTrans and InvIdx. The paper
   * reports the TGM needing up to 90% less space than either baseline.
-  * `LES3(TGM)` is the paper's quantity, the compressed rows; the
-  * `LES3(TGM+columns)` row adds the column view the in-memory engine keeps.
+  * `LES3(TGM)` is the paper's quantity, the matrix Roaring-compressed by
+  * rows; `LES3(in memory)` is the column-major matrix the engine holds.
   */
 object Fig11Exp {
 
@@ -18,12 +18,11 @@ object Fig11Exp {
     profiles.flatMap { p =>
       val db = SetGen.local(p)
       val built = Harness.buildLes3(db, p.nTokens, Harness.defaultGroups(p.nSets), pairs)
-      val les3Size = built.index.tgm.sizeBytes
       val (dual, dualMs) = Harness.timeMs(new DualTrans(db))
       val (inv, invMs) = Harness.timeMs(new InvIdx(db))
       Seq(
-        Row(p.name, "LES3(TGM)", les3Size, built.partitionMs),
-        Row(p.name, "LES3(TGM+columns)", les3Size + built.index.tgm.columnBytes, built.partitionMs),
+        Row(p.name, "LES3(TGM)", built.index.tgm.sizeBytes, built.partitionMs),
+        Row(p.name, "LES3(in memory)", built.index.tgm.columnBytes, built.partitionMs),
         Row(p.name, "DualTrans", dual.sizeBytes, dualMs),
         Row(p.name, "InvIdx", inv.sizeBytes, invMs),
       )

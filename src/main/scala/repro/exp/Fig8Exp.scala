@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.core.{Les3Index, SetOps}
+import repro.core.Les3Index
 import repro.data.SetGen
 import repro.embed._
 import repro.partition.L2P

@@ -1,7 +1,6 @@
 package repro.rtree
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
 /** A from-scratch R-tree over integer points, bulk-loaded with the
   * Sort-Tile-Recursive (STR) algorithm. Substrate for the DualTrans

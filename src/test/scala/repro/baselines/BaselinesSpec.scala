@@ -168,7 +168,6 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("DualTrans node bound dominates every member similarity") {
-    val rnd = new Random(15)
     val db = randomDb(100, 40, 6, 16)
     val dual = new DualTrans(db, d = 8)
     // check via range with threshold 0: every set must surface (sound bound)

@@ -2,11 +2,13 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.BruteForce
+import repro.baselines.{BruteForce, DualTrans, InvIdx}
 
 /** ScalaCheck property: LES³ and HTGM answer exactly as brute force under
   * every measure, also after §6 inserts, and their counters keep the
-  * meaning of Definition 2.3 while the size filter skips candidates.
+  * meaning of Definition 2.3 while the size filter skips candidates; the
+  * static, Jaccard-only baselines InvIdx and DualTrans answer exactly as
+  * brute force too.
   */
 class ExactnessPropsSpec extends AnyFunSuite {
   import ExactnessPropsSpec.Case
@@ -86,6 +88,17 @@ class ExactnessPropsSpec extends AnyFunSuite {
             agrees(index, new BruteForce(index.db, m), q) && candidatesAreGroupsRead(index, q)
           } && blocksSorted(index)
       }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(150), prop)
+    assert(res.passed, res.toString)
+  }
+
+  test("InvIdx and DualTrans equal brute force under Jaccard") {
+    val prop = Prop.forAll(genCase) { c =>
+      val base = new BruteForce(c.db)
+      // A small fanout gives the R-tree inner nodes even for a few sets.
+      val engines = Seq(new InvIdx(c.db), new DualTrans(c.db), new DualTrans(c.db, d = 4, fanout = 4))
+      c.queries.forall(q => engines.forall(agrees(_, base, q)))
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(150), prop)
     assert(res.passed, res.toString)

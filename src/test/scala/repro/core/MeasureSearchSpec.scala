@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.collection.mutable
 import scala.util.Random
 
 /** Exactness of the LES³ engine under non-Jaccard measures (§3.2: any

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.BruteForce
+import repro.baselines.{BruteForce, DualTrans, InvIdx}
 import repro.io.IOModel
 import scala.util.Random
 
@@ -173,6 +173,21 @@ class SearchSpec extends AnyFunSuite {
     for (q <- Seq.fill(20)(db(rnd.nextInt(db.length))) ++ Seq(Array(5, 1 << 30), Array.empty[Int])) {
       assert(index.range(q, 0.5).hits.toSet == brute.range(q, 0.5).hits.toSet)
       assert(index.knn(q, 5).hits.map(_.sim).sorted == brute.knn(q, 5).hits.map(_.sim).sorted)
+    }
+  }
+
+  test("every engine rejects a reversed, duplicated or negative query token") {
+    val db: Array[Array[Int]] = Array(Array(1, 2, 3), Array(4, 5), Array(2, 3))
+    val grouping = new Grouping(Array(0, 1, 1), 2)
+    val engines = Seq[(String, SimilarityIndex)](
+      "LES3" -> new Les3Index(db, grouping), "HTGM" -> HTGM.build(db, Seq(grouping)),
+      "BruteForce" -> new BruteForce(db), "InvIdx" -> new InvIdx(db), "DualTrans" -> new DualTrans(db))
+    for ((name, e) <- engines) {
+      assert(e.range(Array(1, 2, 3), 1.0).hits.toSeq == Seq(Hit(0, 1.0)), name)
+      for (bad <- Seq(Array(3, 2, 1), Array(1, 2, 2, 3), Array(-1, 2))) {
+        intercept[IllegalArgumentException](e.range(bad, 1.0))
+        intercept[IllegalArgumentException](e.knn(bad, 1))
+      }
     }
   }
 

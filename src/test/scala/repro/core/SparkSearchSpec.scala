@@ -5,7 +5,6 @@ import repro.{Oracle, SparkSpec}
 import repro.baselines.{BruteForce, DualTrans, InvIdx}
 import repro.data.SetGen
 import repro.embed.PTREmbedder
-import repro.exp.Harness
 import repro.partition.L2P
 
 import scala.util.Random

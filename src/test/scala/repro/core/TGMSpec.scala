@@ -3,6 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 class TGMSpec extends AnyFunSuite {
@@ -115,10 +117,30 @@ class TGMSpec extends AnyFunSuite {
     assert(tgm.sizeBytes > before)
   }
 
-  test("groupTokenCount equals |GS_g|") {
-    val tgm = TGM.build(figure1Db, figure1Grouping)
-    assert(tgm.groupTokenCount(0) == 2)
-    assert(tgm.groupTokenCount(1) == 2)
+  // --- sizeBytes: the Roaring serialized size of the rows, per (group, chunk)
+
+  private def oneGroup(tokens: Seq[Int]): TGM = {
+    val tgm = new TGM()
+    tgm.addTokensOnly(tgm.addGroup(), tokens)
+    tgm
+  }
+
+  test("sizeBytes is 4 + min(2c, 8192) bytes per (group, 2^16-token chunk) of c tokens") {
+    assert(oneGroup(Seq(1, 100, 5000)).sizeBytes == 4 + 3 * 2)
+    for (n <- Seq(4096, 4097, 5000)) assert(oneGroup(Seq.tabulate(n)(_ * 2)).sizeBytes == 4 + 8192)
+    assert(oneGroup(Seq(0, 1, 65535, 65536, 65537)).sizeBytes == (4 + 3 * 2) + (4 + 2 * 2))
+    assert(oneGroup(Seq(7, 1 << 20)).sizeBytes == 2 * (4 + 2))
+  }
+
+  test("sizeBytes: an empty group costs 0 and re-adding present tokens changes nothing") {
+    val tgm = new TGM()
+    (0 until 3).foreach(_ => tgm.addGroup())
+    assert(tgm.sizeBytes == 0)
+    tgm.addSet(1, Array(3, 70000))
+    assert(tgm.sizeBytes == 2 * (4 + 2))
+    tgm.addSet(1, Array(3, 70000))
+    tgm.addTokensOnly(1, Seq(70000, 3, 3))
+    assert(tgm.sizeBytes == 2 * (4 + 2))
   }
 
   test("bulk build equals incremental build") {
@@ -126,18 +148,16 @@ class TGMSpec extends AnyFunSuite {
     val db: Array[Array[Int]] =
       Array.fill(40)(SetOps.canon(Seq.fill(rnd.nextInt(6) + 1)(rnd.nextInt(30))))
     val g = Grouping.random(40, 4, 9)
-    val bulk = TGM.build(db, g)
-    val inc = new TGM()
+    val bulk = built(db, g)
+    val inc = new Reference()
     (0 until 4).foreach(_ => inc.addGroup())
     for (sid <- db.indices) inc.addSet(g.assignment(sid), db(sid))
-    val q = SetOps.canon(Seq.fill(10)(rnd.nextInt(30)))
-    for (grp <- 0 until 4) {
-      assert(bulk.matched(q, grp) == inc.matched(q, grp))
-      assert(bulk.groupSize(grp) == inc.groupSize(grp))
-    }
+    assertMatches(bulk.tgm, bulk.gs, queries(rnd, 30))
+    assertMatches(inc.tgm, inc.gs, queries(rnd, 30))
+    for (grp <- 0 until 4) assert(bulk.tgm.groupSize(grp) == inc.tgm.groupSize(grp))
   }
 
-  // --- the column view: matchedAll must equal the row probe for every group
+  // --- every reader against GS_g kept as plain sets by the test
 
   private def randomSet(rnd: Random, nTokens: Int, maxSize: Int): Array[Int] =
     SetOps.canon(Seq.fill(rnd.nextInt(maxSize + 1))(rnd.nextInt(nTokens)))
@@ -150,16 +170,46 @@ class TGMSpec extends AnyFunSuite {
         Array(nTokens, 1 << 20), Array.range(0, nTokens)) ++
       Seq.fill(20)(SetOps.canon(Seq.fill(rnd.nextInt(30))(rnd.nextInt(nTokens + 20) - 10)))
 
-  private def assertColumnsMatchRows(tgm: TGM, qs: Seq[Array[Int]]): Unit =
+  /** A TGM written through its public writers, with GS_g beside it. */
+  private final class Reference(val tgm: TGM = new TGM()) {
+    val gs = ArrayBuffer.empty[mutable.Set[Int]]
+    def addGroup(): Unit = { tgm.addGroup(); gs += mutable.Set.empty[Int] }
+    def addSet(g: Int, tokens: Array[Int]): Unit = { tgm.addSet(g, tokens); gs(g) ++= tokens }
+    def addTokensOnly(g: Int, tokens: Seq[Int]): Unit = { tgm.addTokensOnly(g, tokens); gs(g) ++= tokens }
+  }
+
+  /** [[TGM.build]] over `db`, with GS_g beside it. */
+  private def built(db: Array[Array[Int]], grouping: Grouping,
+                    measure: SetOps.Measure = SetOps.Jaccard): Reference = {
+    val ref = new Reference(TGM.build(db, grouping, measure))
+    ref.gs ++= grouping.members.map(m => mutable.Set.from(m.iterator.flatMap(db(_))))
+    ref
+  }
+
+  /** Roaring size of rows holding `gs`, chunk by chunk. */
+  private def roaringBytes(gs: collection.IndexedSeq[collection.Set[Int]]): Long =
+    gs.iterator.flatMap(_.groupBy(_ >>> 16).valuesIterator.map(c => 4L + math.min(2 * c.size, 8192))).sum
+
+  /** `matched`, `matchedAll`, `ub`, `ubs`, `nTokens` and `sizeBytes` of
+    * `tgm` all follow from `gs`.
+    */
+  private def assertMatches(tgm: TGM, gs: collection.IndexedSeq[collection.Set[Int]], qs: Seq[Array[Int]]): Unit = {
+    assert(tgm.nGroups == gs.length)
+    assert(tgm.nTokens == gs.iterator.flatten.foldLeft(-1)(math.max) + 1)
+    assert(tgm.sizeBytes == roaringBytes(gs))
     for (q <- qs) {
       val all = tgm.matchedAll(q)
       val ubs = tgm.ubs(q)
-      assert(all.length == tgm.nGroups && ubs.length == tgm.nGroups)
-      for (g <- 0 until tgm.nGroups) {
-        assert(all(g) == tgm.matched(q, g), s"group $g, query ${q.mkString(",")}")
-        assert(ubs(g) == tgm.ub(q, g))
+      assert(all.length == gs.length && ubs.length == gs.length)
+      for (g <- gs.indices) {
+        val expected = q.count(gs(g).contains)
+        assert(tgm.matched(q, g) == expected, s"group $g, query ${q.mkString(",")}")
+        assert(all(g) == expected, s"group $g, query ${q.mkString(",")}")
+        val ub = tgm.measure.ubFromOverlap(expected, q.length)
+        assert(tgm.ub(q, g) == ub && ubs(g) == ub)
       }
     }
+  }
 
   private def roundTrip(tgm: TGM): TGM = {
     val bos = new ByteArrayOutputStream()
@@ -169,28 +219,28 @@ class TGMSpec extends AnyFunSuite {
     new ObjectInputStream(new ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[TGM]
   }
 
-  test("column view equals the rows for G in {1, 63, 64, 65, 130}") {
+  test("matched, matchedAll and ubs equal |GS_g ∩ Q| for G in {1, 63, 64, 65, 130}") {
     val rnd = new Random(41)
     for (nGroups <- Seq(1, 63, 64, 65, 130)) {
       val db = Array.fill(400)(randomSet(rnd, 200, 12))
-      val tgm = TGM.build(db, Grouping.random(db.length, nGroups, rnd.nextLong()))
-      assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens))
-      assert(tgm.columnBytes == tgm.nTokens * ((nGroups + 63) / 64) * 8L)
+      val ref = built(db, Grouping.random(db.length, nGroups, rnd.nextLong()))
+      assertMatches(ref.tgm, ref.gs, queries(rnd, ref.tgm.nTokens))
+      assert(ref.tgm.columnBytes == ref.tgm.nTokens * ((nGroups + 63) / 64) * 8L)
     }
   }
 
-  test("a token past the column-view limit is rejected before the rows or the view change") {
+  test("a token past the column-view limit is rejected before the matrix changes") {
     val rnd = new Random(46)
     val db = Array.fill(200)(randomSet(rnd, 100, 10))
-    val tgm = TGM.build(db, Grouping.random(db.length, 65, 5))
-    val (tokens, bytes, rowBytes) = (tgm.nTokens, tgm.columnBytes, tgm.sizeBytes)
+    val ref = built(db, Grouping.random(db.length, 65, 5))
+    val tgm = ref.tgm
+    val (tokens, bytes, size) = (tgm.nTokens, tgm.columnBytes, tgm.sizeBytes)
     // 2 words a token: (2^30 + 1) · 2 longs would wrap an Int product
     for (bad <- Seq(Array(3, 1 << 30), Array(7, Int.MaxValue), Array(-1, 4)))
       intercept[IllegalArgumentException](tgm.addSet(0, bad))
     intercept[IllegalArgumentException](tgm.addTokensOnly(64, Seq(1 << 30)))
-    assert(tgm.nTokens == tokens && tgm.columnBytes == bytes && tgm.sizeBytes == rowBytes)
-    assert(tgm.matched(Array(3, 7), 0) == tgm.matchedAll(Array(3, 7))(0))
-    assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens) :+ Array(1 << 30))
+    assert(tgm.nTokens == tokens && tgm.columnBytes == bytes && tgm.sizeBytes == size)
+    assertMatches(tgm, ref.gs, queries(rnd, tgm.nTokens) :+ Array(1 << 30))
     // the largest token the limit admits at 2 words a token is accepted
     val top = (TGM.MaxColumnLongs / 2 - 1).toInt
     intercept[IllegalArgumentException](tgm.requireTokens(Array(top + 1)))
@@ -198,57 +248,59 @@ class TGMSpec extends AnyFunSuite {
     val g65 = new Grouping(Array.range(0, 65), 65)
     intercept[IllegalArgumentException](TGM.build(Array.fill(65)(Array(1 << 30)), g65))
     intercept[IllegalArgumentException](TGM.build(Array(Array(-1, 2)), new Grouping(Array(0), 1)))
+    // a group that does not exist is rejected before any write
+    intercept[IndexOutOfBoundsException](tgm.addSet(65, Array(1)))
+    intercept[IndexOutOfBoundsException](tgm.addTokensOnly(65, Seq(2)))
+    intercept[IndexOutOfBoundsException](tgm.matched(Array(1), 65))
+    assertMatches(tgm, ref.gs, Seq(Array(1, 2)))
   }
 
   test("column view follows groups added after sets, across multiples of 64") {
     val rnd = new Random(42)
-    val tgm = new TGM(SetOps.Cosine)
+    val ref = new Reference(new TGM(SetOps.Cosine))
     for (g <- 0 until 130) {
-      tgm.addGroup()
+      ref.addGroup()
       // sets land in old and new groups, so the re-laid-out words must keep earlier bits
-      for (_ <- 0 until 3) tgm.addSet(rnd.nextInt(g + 1), randomSet(rnd, 150, 10))
-      if (g % 16 == 0 || g == 63 || g == 64 || g == 65) assertColumnsMatchRows(tgm, queries(rnd, 150))
+      for (_ <- 0 until 3) ref.addSet(rnd.nextInt(g + 1), randomSet(rnd, 150, 10))
+      if (g % 16 == 0 || g == 63 || g == 64 || g == 65) assertMatches(ref.tgm, ref.gs, queries(rnd, 150))
     }
-    assertColumnsMatchRows(tgm, queries(rnd, 150))
+    assertMatches(ref.tgm, ref.gs, queries(rnd, 150))
   }
 
   test("column view from the addTokensOnly + setSize build") {
     val rnd = new Random(43)
-    val tgm = new TGM()
-    (0 until 70).foreach(_ => tgm.addGroup())
+    val ref = new Reference()
+    (0 until 70).foreach(_ => ref.addGroup())
     // collect_set order: unsorted, large tokens first
     for (g <- 0 until 70) {
-      tgm.addTokensOnly(g, rnd.shuffle(randomSet(rnd, 500, 40).toSeq))
-      tgm.setSize(g, rnd.nextInt(9))
+      ref.addTokensOnly(g, rnd.shuffle(randomSet(rnd, 500, 40).toSeq))
+      ref.tgm.setSize(g, rnd.nextInt(9))
     }
-    assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens))
+    assertMatches(ref.tgm, ref.gs, queries(rnd, ref.tgm.nTokens))
   }
 
   test("column view grows with open-universe addSet") {
     val rnd = new Random(44)
     val db = Array.fill(100)(randomSet(rnd, 50, 8))
-    val tgm = TGM.build(db, Grouping.random(db.length, 66, 3))
+    val ref = built(db, Grouping.random(db.length, 66, 3))
     for (i <- 1 to 40) {
-      tgm.addSet(rnd.nextInt(66), SetOps.canon(Seq(rnd.nextInt(50), 50 + i * 37, 10000 + i)))
-      assertColumnsMatchRows(tgm, queries(rnd, tgm.nTokens))
+      ref.addSet(rnd.nextInt(66), SetOps.canon(Seq(rnd.nextInt(50), 50 + i * 37, 10000 + i)))
+      assertMatches(ref.tgm, ref.gs, queries(rnd, ref.tgm.nTokens))
     }
-    assert(tgm.matchedAll(Array(10040)).sum == 1)
+    assert(ref.tgm.matchedAll(Array(10040)).sum == 1)
   }
 
   test("column view survives Java serialization") {
     val rnd = new Random(45)
     val db = Array.fill(300)(randomSet(rnd, 120, 10))
-    val tgm = TGM.build(db, Grouping.random(db.length, 65, 8), SetOps.Dice)
-    val copy = roundTrip(tgm)
-    assert(copy.columnBytes == tgm.columnBytes && copy.sizeBytes == tgm.sizeBytes)
-    for (q <- queries(rnd, tgm.nTokens)) {
-      assert(copy.matchedAll(q).sameElements(tgm.matchedAll(q)))
-      assert(copy.ubs(q).sameElements(tgm.ubs(q)))
-    }
-    assertColumnsMatchRows(copy, queries(rnd, tgm.nTokens))
+    val ref = built(db, Grouping.random(db.length, 65, 8), SetOps.Dice)
+    val copy = new Reference(roundTrip(ref.tgm))
+    copy.gs ++= ref.gs
+    assert(copy.tgm.columnBytes == ref.tgm.columnBytes && copy.tgm.measure == SetOps.Dice)
+    assertMatches(copy.tgm, copy.gs, queries(rnd, ref.tgm.nTokens))
     // a deserialized matrix is still writable
     copy.addGroup()
     copy.addSet(65, Array(3, 999))
-    assertColumnsMatchRows(copy, queries(rnd, copy.nTokens))
+    assertMatches(copy.tgm, copy.gs, queries(rnd, copy.tgm.nTokens))
   }
 }
