@@ -3,7 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.exp.SparkScaleExp
 
-/** Distributed scale-out: the DataFrame/broadcast-join LES³ path vs a
+/** Distributed scale-out: the DataFrame/broadcast-TGM LES³ path vs a
   * distributed brute-force cross join on the full PMC-lite profile
   * (results are cross-checked for equality inside the experiment).
   */

@@ -1,6 +1,6 @@
 package repro.core
 
-/** One group of a [[Les3Index]] stored as one contiguous block, the
+/** One group of a [[GroupStore]] stored as one contiguous block, the
   * paper's group layout (§7.6), in CSR form: member `i` is set `sids(i)`,
   * whose tokens are `tokens(offsets(i) until offsets(i + 1))`.
   *
@@ -64,21 +64,22 @@ private[core] final class GroupBlock private (var sids: Array[Int], private var 
 
 private[core] object GroupBlock {
 
-  /** The block of the sets `members` of `db`. */
-  def build(db: collection.IndexedSeq[Array[Int]], members: Array[Int]): GroupBlock = {
-    // (size, sid) packed in one long sorts without boxing.
-    val keys = members.map(sid => db(sid).length.toLong << 32 | sid)
+  /** The block of the sets `sets(i)`, with ids `ids(i)` in ascending order. */
+  def build(ids: Array[Int], sets: Array[Array[Int]]): GroupBlock = {
+    // (size, position) packed in one long sorts without boxing; ascending
+    // ids make that the (size, id) order.
+    val keys = Array.tabulate(ids.length)(i => sets(i).length.toLong << 32 | i)
     java.util.Arrays.sort(keys)
-    val sids = keys.map(_.toInt)
-    val offsets = new Array[Int](sids.length + 1)
+    val order = keys.map(_.toInt)
+    val offsets = new Array[Int](order.length + 1)
     var i = 0
-    while (i < sids.length) { offsets(i + 1) = offsets(i) + db(sids(i)).length; i += 1 }
-    val tokens = new Array[Int](offsets(sids.length))
+    while (i < order.length) { offsets(i + 1) = offsets(i) + sets(order(i)).length; i += 1 }
+    val tokens = new Array[Int](offsets(order.length))
     i = 0
-    while (i < sids.length) {
-      System.arraycopy(db(sids(i)), 0, tokens, offsets(i), offsets(i + 1) - offsets(i))
+    while (i < order.length) {
+      System.arraycopy(sets(order(i)), 0, tokens, offsets(i), offsets(i + 1) - offsets(i))
       i += 1
     }
-    new GroupBlock(sids, offsets, tokens)
+    new GroupBlock(order.map(i => ids(i)), offsets, tokens)
   }
 }

@@ -7,12 +7,13 @@ import scala.collection.mutable.ArrayBuffer
   *
   * The L2P cascade yields nested groupings; HTGM keeps a [[TGM]] per
   * retained level plus the child links between consecutive levels; the
-  * finest level is a flat [[Les3Index]], whose group verification HTGM
-  * reuses. Search proceeds best-first through the hierarchy: the root
-  * level's bounds come from one all-groups pass ([[TGM.ubs]]), and a
-  * child's bound is probed only if its coarse group survives — so a pruned
-  * coarse group eliminates all verification *and all index probing* below
-  * it, which is exactly the trade-off Fig. 14 measures.
+  * finest level is a flat [[Les3Index]], whose [[GroupStore]] verifies
+  * the fine groups that survive. Search proceeds best-first through the
+  * hierarchy: the root level's bounds come from one all-groups pass
+  * ([[TGM.ubs]]), and a child's bound is probed only if its coarse group
+  * survives — so a pruned coarse group eliminates all verification *and
+  * all index probing* below it, which is exactly the trade-off Fig. 14
+  * measures.
   *
   * @param levelTgms  the TGM of each level; the last is `fine.tgm`
   * @param children   children(l)(g) = ids of level-(l+1) groups nested in
@@ -51,7 +52,7 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
           ubProbes += q.length
           pq.enqueue(Entry(e.level + 1, child, tgmNext.ub(q, child)))
         }
-      } else reads = fine.verifyKnn(q, Array(e.g), Array(e.ub), top, reads)
+      } else reads = fine.store.verifyKnn(q, Array(e.g), Array(e.ub), top, reads)
     }
     SearchResult(top.hits, reads.copy(ubProbes = ubProbes))
   }
@@ -71,7 +72,7 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
       ubs = frontier.map(tgm.ub(q, _))
     }
     val hits = ArrayBuffer.empty[Hit]
-    val stats = fine.verifyRange(q, frontier, ubs, delta, hits, SearchStats(0, ubProbes, 0, 0.0))
+    val stats = fine.store.verifyRange(q, frontier, ubs, delta, hits, SearchStats(0, ubProbes, 0, 0.0))
     SearchResult(hits, stats)
   }
 }

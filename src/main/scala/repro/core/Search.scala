@@ -22,9 +22,6 @@ final case class SearchStats(candidates: Long, ubProbes: Long, groupsRead: Int, 
   /** Pruning efficiency for a kNN query (Definition 2.3). */
   def peKnn(nSets: Int, k: Int): Double =
     (nSets - (candidates - math.min(k, nSets)).toDouble) / nSets
-  /** Pruning efficiency for a range query (Definition 2.3). */
-  def peRange(nSets: Int, resultSize: Int): Double =
-    (nSets - (candidates - resultSize).toDouble) / nSets
 }
 
 object SearchStats {
@@ -74,10 +71,11 @@ final class TopK(k: Int) {
 /** The LES³ in-memory engine: a partitioned database + its [[TGM]], with the
   * filter-and-verify algorithms of §3.1/§6 and the update handling of §6.
   *
-  * Each group is stored as one contiguous, size-sorted [[GroupBlock]] (the
-  * paper's layout, §7.6), so fetching a candidate group costs one random
-  * access of the group's byte footprint under `io`, and verification
-  * computes the similarity only of the members whose size can qualify.
+  * Its [[GroupStore]] holds each group as one contiguous, size-sorted
+  * [[GroupBlock]] (the paper's layout, §7.6), so fetching a candidate
+  * group costs one random access of the group's byte footprint under
+  * `io`, and verification computes the similarity only of the members
+  * whose size can qualify.
   * Every query takes all group bounds in one pass ([[TGM.ubs]]).
   *
   * Concurrent queries are safe; `insert` needs a single writer and no
@@ -89,7 +87,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
 
   /** Mutable database — §6 allows insertions after the index is built. */
   val db: ArrayBuffer[Array[Int]] = ArrayBuffer.from(initialDb)
-  private val blocks: Array[GroupBlock] = grouping.members.map(GroupBlock.build(initialDb, _))
+  private[core] val store: GroupStore = new GroupStore(initialDb, grouping, measure, io)
   val tgm: TGM = TGM.build(initialDb, grouping, measure)
 
   def nSets: Int = db.length
@@ -97,92 +95,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
   /** Member set ids of group `g` in (size, sid) order: a snapshot of its
     * block's ids, not a copy.
     */
-  def members(g: Int): ArraySeq.ofInt = new ArraySeq.ofInt(blocks(g).sids)
-
-  private def groupBytes(b: GroupBlock): Long = {
-    var total = 0L
-    var i = 0
-    while (i < b.n) { total += io.dataBytes(b.size(i)); i += 1 }
-    total
-  }
-
-  /** Reads the non-empty groups of `gs` whose bound reaches δ, `ubs(j)`
-    * being the bound of `gs(j)`: their members are candidates, those whose
-    * size bound reaches δ are verified, and those with sim ≥ δ join `hits`.
-    * Returns `s` plus the probes and reads.
-    */
-  private[core] def verifyRange(q: Array[Int], gs: Array[Int], ubs: Array[Double], delta: Double,
-                                hits: ArrayBuffer[Hit], s: SearchStats): SearchStats = {
-    var candidates = 0L
-    var verified = 0L
-    var groupsRead = 0
-    var ioMs = 0.0
-    var j = 0
-    while (j < gs.length) {
-      val b = blocks(gs(j))
-      if (ubs(j) >= delta && b.n > 0) {
-        groupsRead += 1
-        ioMs += io.randomAccess(groupBytes(b))
-        candidates += b.n
-        // The qualifying sizes are one run: it ends at the first failing
-        // member past firstFit, which is larger than Q.
-        var i = b.firstFit(measure, q.length, delta)
-        while (i < b.n && measure.sizeUb(q.length, b.size(i)) >= delta) {
-          val sim = b.sim(i, q, measure)
-          verified += 1
-          if (sim >= delta) hits += Hit(b.sids(i), sim)
-          i += 1
-        }
-      }
-      j += 1
-    }
-    SearchStats(s.candidates + candidates, s.ubProbes + gs.length.toLong * q.length,
-                s.groupsRead + groupsRead, s.ioMs + ioMs, s.verified + verified)
-  }
-
-  /** Visits the groups `gs` in order for a kNN query, `ubs(j)` being the
-    * bound of `gs(j)`: stops at the first bound that cannot beat the
-    * kth-best similarity, and reads the other non-empty groups, offering
-    * to `top` every member whose size bound beats the kth-best. Returns `s`
-    * plus the reads.
-    */
-  private[core] def verifyKnn(q: Array[Int], gs: Array[Int], ubs: Array[Double],
-                              top: TopK, s: SearchStats): SearchStats = {
-    var candidates = 0L
-    var verified = 0L
-    var groupsRead = 0
-    var ioMs = 0.0
-    var j = 0
-    var done = false
-    while (j < gs.length && !done) {
-      val b = blocks(gs(j))
-      if (top.full && ubs(j) <= top.min) done = true
-      else if (b.n > 0) {
-        groupsRead += 1
-        ioMs += io.randomAccess(groupBytes(b))
-        candidates += b.n
-        // A member can enter `top` only if its size bound beats the
-        // kth-best: sizeUb > min ⇔ sizeUb ≥ nextUp(min). The bar rises as
-        // `top` fills, so smaller members may fail after firstFit, but the
-        // first failing member larger than Q ends the run.
-        var lo = if (top.full) Math.nextUp(top.min) else Double.NegativeInfinity
-        var i = b.firstFit(measure, q.length, lo)
-        var more = true
-        while (i < b.n && more) {
-          val r = b.size(i)
-          if (measure.sizeUb(q.length, r) >= lo) {
-            verified += 1
-            top.offer(b.sids(i), b.sim(i, q, measure))
-            if (top.full) lo = Math.nextUp(top.min)
-          } else more = r < q.length
-          i += 1
-        }
-      }
-      j += 1
-    }
-    SearchStats(s.candidates + candidates, s.ubProbes, s.groupsRead + groupsRead, s.ioMs + ioMs,
-                s.verified + verified)
-  }
+  def members(g: Int): ArraySeq.ofInt = new ArraySeq.ofInt(store.blocks(g).sids)
 
   /** Range search (Definition 2.2): verify exactly the groups whose upper
     * bound reaches δ.
@@ -190,24 +103,18 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")
     val hits = ArrayBuffer.empty[Hit]
-    val stats = verifyRange(q, Array.range(0, tgm.nGroups), tgm.ubs(q), delta, hits,
-                            SearchStats(0, 0, 0, 0.0))
+    val stats = store.searchRange(q, tgm.ubs(q), delta, hits)
     SearchResult(hits, stats)
   }
 
   /** kNN search (Definition 2.1): visit groups in descending-UB order,
     * stopping once the next group's bound cannot beat the kth-best
-    * similarity found so far. Exact: any unvisited set has
-    * sim ≤ UB(group) ≤ kth-best — a set tying the kth-best is
-    * interchangeable with it under Definition 2.1, so the cut uses ≤.
+    * similarity found so far ([[GroupStore.verifyKnn]]).
     */
   def knn(q: Array[Int], k: Int): SearchResult = {
     SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
-    val n = tgm.nGroups
-    val ubs = tgm.ubs(q)
-    val order = Array.range(0, n).sortBy(g => -ubs(g))
-    val stats = verifyKnn(q, order, order.map(ubs), top, SearchStats(0, n.toLong * q.length, 0, 0.0))
+    val stats = store.searchKnn(q, tgm.ubs(q), top)
     SearchResult(top.hits, stats)
   }
 
@@ -228,14 +135,14 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     var g = 0
     while (g < tgm.nGroups) {
       val u = if (seen.isEmpty) 0.0 else ubs(g)
-      if (u > bestUb || (u == bestUb && (best < 0 || blocks(g).n < blocks(best).n))) {
+      if (u > bestUb || (u == bestUb && (best < 0 || store.blocks(g).n < store.blocks(best).n))) {
         best = g; bestUb = u
       }
       g += 1
     }
     val sid = db.length
     db += set
-    blocks(best).insert(sid, set)
+    store.blocks(best).insert(sid, set)
     tgm.addSet(best, set)
     (sid, best)
   }

@@ -1,15 +1,16 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
+import repro.io.IOModel
 import repro.partition.L2P
 
 import scala.collection.mutable
 
 /** The distributed LES³ path (per the reproduction directive): the TGM and
   * the learned partitioning expressed as DataFrame operations, with the
-  * trained L2P cascade and the TGM broadcast to executors and candidate
-  * pruning done as a broadcast-driven join.
+  * trained L2P cascade and the TGM broadcast to executors, and search run
+  * per partition by the shared verification core ([[GroupStore]]).
   *
   * Data layout: `data` is `(sid: Long, tokens: Array[Int])` with tokens
   * sorted-distinct; `grouped` adds `gid: Int`.
@@ -47,119 +48,84 @@ object SparkSearch {
     tgm
   }
 
-  private def simUdf(measure: SetOps.Measure) = udf { (a: Seq[Int], b: Seq[Int]) =>
-    measure.sim(a.toArray, b.toArray)
+  /** Runs `search` for every query of a batch in one pass over `grouped`.
+    * The queries and the TGM are broadcast; each partition builds the
+    * [[GroupStore]] of its rows (a member's id is its position among
+    * them) and, per query, calls `search` with the store and the query's
+    * bounds ([[TGM.ubs]]). Each hit `search` returns becomes a
+    * `(qid, sid, sim)` row. A group's bound covers its members in every
+    * partition, so each partition's answer is exact over its rows.
+    */
+  private def perPartition(grouped: DataFrame, queries: Array[(Long, Array[Int])], tgm: TGM)(
+      search: (GroupStore, Array[Int], Array[Double]) => Iterable[Hit]): Dataset[(Long, Long, Double)] = {
+    val spark = grouped.sparkSession
+    import spark.implicits._
+    val bc = spark.sparkContext.broadcast((tgm, queries))
+    grouped.select(col("sid"), col("tokens"), col("gid")).as[(Long, Array[Int], Int)].mapPartitions { rows =>
+      val (t, qs) = bc.value
+      val rs = rows.toArray
+      val sids = rs.map(_._1)
+      val grouping = new Grouping(rs.map(_._3), t.nGroups)
+      val store = new GroupStore(rs.map(_._2), grouping, t.measure, IOModel.InMemory)
+      qs.iterator.flatMap { case (qid, q) =>
+        search(store, q, t.ubs(q)).map(h => (qid, sids(h.sid), h.sim))
+      }
+    }
   }
 
-  /** Phase-1 coverage of [[knnSearch]], in multiples of k. */
-  private val KnnSlack = 3
-
-  /** Distributed range search: the broadcast TGM prunes (query, group)
-    * pairs in a UDF; surviving pairs join the data on `gid` and a UDF
-    * verifies candidates with the TGM's measure. Returns `(qid, sid, sim)`
-    * with sim ≥ δ.
+  /** Distributed range search (Definition 2.2): the batch's queries, which
+    * must be canonical ([[SetOps.requireCanonical]]), are checked on the
+    * driver, and one pass over `grouped` verifies, per partition, the
+    * groups whose bound reaches δ with the TGM's measure. Returns
+    * `(qid, sid, sim)` with sim ≥ δ.
     */
   def rangeSearch(grouped: DataFrame, queries: DataFrame, tgm: TGM,
                   delta: Double): DataFrame = {
-    val spark = grouped.sparkSession
-    val bc = spark.sparkContext.broadcast(tgm)
-    val candGroupsUdf = udf { tokens: Seq[Int] =>
-      val t = bc.value
-      val ubs = t.ubs(tokens.toArray)
-      (0 until t.nGroups).filter(g => t.groupSize(g) > 0 && ubs(g) >= delta)
-    }
-    broadcast(queries
-      .select(col("qid"), col("tokens").as("qtokens"),
-              explode(candGroupsUdf(col("tokens"))).as("gid")))
-      .join(grouped, "gid")
-      .withColumn("sim", simUdf(tgm.measure)(col("qtokens"), col("tokens")))
-      .filter(col("sim") >= delta)
-      .select(col("qid"), col("sid"), col("sim"))
+    import grouped.sparkSession.implicits._
+    val qs = queries.select(col("qid"), col("tokens")).as[(Long, Array[Int])].collect()
+    qs.foreach { case (_, q) => SetOps.requireCanonical(q, "rangeSearch") }
+    perPartition(grouped, qs, tgm) { (store, q, ubs) =>
+      val hits = mutable.ArrayBuffer.empty[Hit]
+      store.searchRange(q, ubs, delta, hits)
+      hits
+    }.toDF("qid", "sid", "sim")
   }
 
-  /** Exact distributed kNN, two phases:
-    *  1. per query, verify the top-UB groups holding ≥ 3k sets to
-    *     obtain a lower bound λ_q (the kth-best similarity so far);
-    *  2. verify every remaining group with UB ≥ λ_q.
-    * Any unverified set has sim ≤ UB(group) < λ_q, so the merged top-k is
-    * exact. Returns per-query hits sorted by descending similarity.
+  /** Exact distributed kNN (Definition 2.1) in one pass over `grouped`:
+    * each partition returns its exact local top-k per query, and the
+    * driver merges them with one [[TopK]] per query. Exact, because the
+    * global top-k is a union of local top-ks: a set outside its
+    * partition's top-k has at most that partition's kth-best similarity,
+    * which is never above the global kth-best. The queries must be
+    * canonical, with distinct qids, and k ≥ 1; all are checked on the
+    * driver before any job starts. A sid must fit [[Hit]]'s `Int`, else
+    * `ArithmeticException`. Returns per-query hits sorted by descending
+    * similarity.
     */
   def knnSearch(grouped: DataFrame, queries: Array[(Long, Array[Int])], tgm: TGM,
                 k: Int): Map[Long, Array[Hit]] = {
-    val spark = grouped.sparkSession
-    import spark.implicits._
     require(queries.nonEmpty)
-
-    // Per-query group UBs, computed against the driver-resident TGM (the
-    // same structure the executors receive for verification joins).
-    val ubs: Map[Long, Array[Double]] = queries.map { case (qid, q) => qid -> tgm.ubs(q) }.toMap
-    val queryTokens = queries.toMap
-    val measure = tgm.measure
-
-    def verify(pairs: Seq[(Long, Int)]): Map[Long, Seq[Hit]] = {
-      if (pairs.isEmpty) return Map.empty
-      val bcq = spark.sparkContext.broadcast(queryTokens)
-      val pairsDf = pairs.toDF("qid", "gid")
-      val simUdf = udf { (qid: Long, tokens: Seq[Int]) =>
-        measure.sim(bcq.value(qid), tokens.toArray)
-      }
-      broadcast(pairsDf)
-        .join(grouped, "gid")
-        .select(col("qid"), col("sid"),
-                simUdf(col("qid"), col("tokens")).as("sim"))
-        .collect()
-        .groupBy(_.getLong(0))
-        .map { case (qid, rows) =>
-          qid -> rows.toSeq.map(r => Hit(r.getLong(1).toInt, r.getDouble(2)))
-        }
-    }
-
-    def topK(hits: Seq[Hit]): TopK = {
+    require(k >= 1, s"kNN needs k >= 1, got k = $k")
+    require(queries.map(_._1).distinct.length == queries.length, "knnSearch needs distinct qids")
+    queries.foreach { case (_, q) => SetOps.requireCanonical(q, "knnSearch") }
+    val local = perPartition(grouped, queries, tgm) { (store, q, ubs) =>
       val top = new TopK(k)
-      hits.foreach(h => top.offer(h.sid, h.sim))
-      top
-    }
-
-    // Phase 1: highest-UB groups until ≥ 3k sets are covered.
-    val phase1: Seq[(Long, Int)] = queries.toSeq.flatMap { case (qid, _) =>
-      val order = Array.range(0, tgm.nGroups).sortBy(g => -ubs(qid)(g))
-      var covered = 0
-      val chosen = mutable.ArrayBuffer.empty[Int]
-      for (g <- order if covered < KnnSlack.toLong * k && tgm.groupSize(g) > 0) {
-        chosen += g
-        covered += tgm.groupSize(g)
-      }
-      chosen.map(qid -> _)
-    }
-    val phase1Hits = verify(phase1)
-    val phase1Groups: Map[Long, Set[Int]] =
-      phase1.groupBy(_._1).map { case (qid, ps) => qid -> ps.map(_._2).toSet }
-
-    // Phase 2: all other groups whose UB could still beat λ_q.
-    val phase2: Seq[(Long, Int)] = queries.toSeq.flatMap { case (qid, _) =>
-      val top = topK(phase1Hits.getOrElse(qid, Seq.empty))
-      val already = phase1Groups.getOrElse(qid, Set.empty)
-      (0 until tgm.nGroups).filter { g =>
-        // ties with the kth-best are interchangeable (Definition 2.1), so
-        // only strictly-better bounds require verification
-        !already.contains(g) && tgm.groupSize(g) > 0 &&
-          (!top.full || ubs(qid)(g) > top.min)
-      }.map(qid -> _)
-    }
-    val phase2Hits = verify(phase2)
-
-    queries.map { case (qid, _) =>
-      qid -> topK(phase1Hits.getOrElse(qid, Seq.empty) ++ phase2Hits.getOrElse(qid, Seq.empty)).hits.toArray
-    }.toMap
+      store.searchKnn(q, ubs, top)
+      top.hits
+    }.collect()
+    val tops = queries.map { case (qid, _) => qid -> new TopK(k) }.toMap
+    for ((qid, sid, sim) <- local) tops(qid).offer(Math.toIntExact(sid), sim)
+    tops.map { case (qid, top) => qid -> top.hits.toArray }
   }
 
   /** Distributed brute force (the scale-out comparison point): a full
     * cross join between queries and data with UDF verification.
     */
   def bruteForceRange(data: DataFrame, queries: DataFrame, delta: Double): DataFrame = {
+    val jaccard = udf { (a: Seq[Int], b: Seq[Int]) => SetOps.jaccard(a.toArray, b.toArray) }
     broadcast(queries.select(col("qid"), col("tokens").as("qtokens")))
       .crossJoin(data)
-      .withColumn("sim", simUdf(SetOps.Jaccard)(col("qtokens"), col("tokens")))
+      .withColumn("sim", jaccard(col("qtokens"), col("tokens")))
       .filter(col("sim") >= delta)
       .select(col("qid"), col("sid"), col("sim"))
   }

@@ -40,7 +40,6 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
   def nTokens: Int = universe
   def nGroups: Int = sizes.length
   def groupSize(g: Int): Int = sizes(g)
-  def groupSizes: IndexedSeq[Int] = sizes.toIndexedSeq
 
   /** Append an empty group; returns its id. */
   def addGroup(): Int = {

