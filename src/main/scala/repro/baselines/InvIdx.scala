@@ -76,6 +76,43 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
     if (lo > qLen) 0 else qLen - math.max(1, lo) + 1
   }
 
+  /** The prefix-filtering scan of one query, kept across its δ rounds:
+    * the sets already verified, and the candidates and time charged so far.
+    */
+  private final class Scan(q: Array[Int]) {
+    val qs: Array[Int] = sortQuery(q)
+    val seen = new java.util.HashSet[Int]()
+    var candidates = 0L
+    var ioMs = 0.0
+
+    /** One round at threshold δ: reads the postings of `qs`'s prefix and
+      * verifies each unseen set that passes the length filter, handing it
+      * and its similarity to `found`.
+      */
+    def round(delta: Double)(found: (Int, Double) => Unit): Unit = {
+      val p = if (qs.isEmpty) 0 else prefixLen(qs.length, delta)
+      var i = 0
+      while (i < p) {
+        val t = qs(i)
+        if (t < nTokens && postings(t).nonEmpty) {
+          ioMs += io.randomAccess(io.indexBytes(4L * postings(t).length + 8L))
+          for (sid <- postings(t)) {
+            val len = db(sid).length
+            if (SetOps.Jaccard.sizeUb(qs.length, len) >= delta && seen.add(sid)) {
+              ioMs += io.randomAccess(io.dataBytes(len))
+              val sim = SetOps.jaccard(q, db(sid))
+              candidates += 1
+              found(sid, sim)
+            }
+          }
+        }
+        i += 1
+      }
+    }
+
+    def stats: SearchStats = SearchStats(candidates, 0, 0, ioMs)
+  }
+
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")
     require(delta > 0.0, "InvIdx range requires delta > 0")
@@ -83,75 +120,34 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
       val hits = if (1.0 >= delta) ArrayBuffer.from(empties.map(Hit(_, 1.0))) else ArrayBuffer.empty[Hit]
       return SearchResult(hits, SearchStats(empties.length, 0, 0, 0.0))
     }
-    val qs = sortQuery(q)
-    val p = prefixLen(qs.length, delta)
-    val seen = new java.util.HashSet[Int]()
+    val scan = new Scan(q)
     val hits = ArrayBuffer.empty[Hit]
-    var ioMs = 0.0
-    var candidates = 0L
-    var i = 0
-    while (i < p) {
-      val t = qs(i)
-      if (t < nTokens && postings(t).nonEmpty) {
-        ioMs += io.randomAccess(io.indexBytes(4L * postings(t).length + 8L))
-        for (sid <- postings(t)) {
-          val len = db(sid).length
-          if (SetOps.Jaccard.sizeUb(qs.length, len) >= delta && seen.add(sid)) {
-            ioMs += io.randomAccess(io.dataBytes(len))
-            val sim = SetOps.jaccard(q, db(sid))
-            candidates += 1
-            if (sim >= delta) hits += Hit(sid, sim)
-          }
-        }
-      }
-      i += 1
-    }
-    SearchResult(hits, SearchStats(candidates, 0, 0, ioMs))
+    scan.round(delta)((sid, sim) => if (sim >= delta) hits += Hit(sid, sim))
+    SearchResult(hits, scan.stats)
   }
 
   def knn(q: Array[Int], k: Int): SearchResult = knn(q, k, z = 0.05)
 
-  /** kNN via δ-decreasing filtering with step `z` (§7.6). */
+  /** kNN via δ-decreasing filtering with step `z` (§7.6). The paper's
+    * critique of InvIdx kNN: the filtering pass is repeated for every δ
+    * round, re-reading the prefix postings each time — so each round's
+    * list scan is charged.
+    */
   def knn(q: Array[Int], k: Int, z: Double): SearchResult = {
     SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
-    val qs = sortQuery(q)
-    val seen = new java.util.HashSet[Int]()
-    var ioMs = 0.0
-    var candidates = 0L
+    val scan = new Scan(q)
     var delta = 1.0
     var done = false
     if (q.isEmpty) {
       // Only the empty sets score above 0; the fill below adds the rest.
-      for (sid <- empties) { top.offer(sid, 1.0); seen.add(sid) }
-      candidates += empties.length
+      for (sid <- empties) { top.offer(sid, 1.0); scan.seen.add(sid) }
+      scan.candidates += empties.length
       delta = 0.0
     }
 
     while (!done) {
-      if (qs.nonEmpty) {
-        val p = prefixLen(qs.length, delta)
-        var i = 0
-        while (i < p) {
-          val t = qs(i)
-          if (t < nTokens && postings(t).nonEmpty) {
-            // The paper's critique of InvIdx kNN (§7.6): the filtering pass
-            // is repeated for every δ round, re-reading the prefix postings
-            // each time — so each round's list scan is charged.
-            ioMs += io.randomAccess(io.indexBytes(4L * postings(t).length + 8L))
-            for (sid <- postings(t)) {
-              val len = db(sid).length
-              if (SetOps.Jaccard.sizeUb(qs.length, len) >= delta && seen.add(sid)) {
-                ioMs += io.randomAccess(io.dataBytes(len))
-                val sim = SetOps.jaccard(q, db(sid))
-                candidates += 1
-                top.offer(sid, sim)
-              }
-            }
-          }
-          i += 1
-        }
-      }
+      scan.round(delta)(top.offer)
       // Terminate once the kth-best reaches the current δ: every unseen set
       // has similarity < δ.
       if (top.full && top.min >= delta) done = true
@@ -160,15 +156,15 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
         // fill the result with arbitrary unseen sets if still short.
         var sid = 0
         while (!top.full && sid < db.length) {
-          if (!seen.contains(sid)) {
+          if (!scan.seen.contains(sid)) {
             top.offer(sid, SetOps.jaccard(q, db(sid)))
-            candidates += 1
+            scan.candidates += 1
           }
           sid += 1
         }
         done = true
       } else delta = math.max(0.0, delta - z)
     }
-    SearchResult(top.hits, SearchStats(candidates, 0, 0, ioMs))
+    SearchResult(top.hits, scan.stats)
   }
 }

@@ -109,19 +109,4 @@ object Grouping {
     val rnd = new Random(seed)
     new Grouping(Array.fill(nSets)(rnd.nextInt(nGroups)), nGroups)
   }
-
-  /** Contiguous chunks of (roughly) equal size over the given set order —
-    * the paper's min-token-sort initialization (§7.1) uses this with sets
-    * pre-sorted by their minimal token.
-    */
-  def contiguous(order: Array[Int], nGroups: Int): Grouping = {
-    val n = order.length
-    val assignment = new Array[Int](n)
-    var i = 0
-    while (i < n) {
-      assignment(order(i)) = math.min(nGroups - 1, (i.toLong * nGroups / n).toInt)
-      i += 1
-    }
-    new Grouping(assignment, nGroups)
-  }
 }

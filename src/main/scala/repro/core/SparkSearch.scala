@@ -27,24 +27,19 @@ object SparkSearch {
     data.withColumn("gid", assignUdf(col("tokens")))
   }
 
-  /** Build the TGM with a DataFrame aggregation: explode tokens, dedupe
-    * (gid, token) pairs, and collect each group's distinct-token set.
+  /** Build the TGM with one DataFrame aggregation: explode tokens and
+    * collect each group's distinct-token set, then add each group's set to
+    * the matrix on the driver.
     */
   def buildTGM(grouped: DataFrame, nGroups: Int,
                measure: SetOps.Measure = SetOps.Jaccard): TGM = {
-    val tgm = new TGM(measure)
-    (0 until nGroups).foreach(_ => tgm.addGroup())
-    val tokenRows = grouped
+    val tgm = new TGM(nGroups, measure)
+    grouped
       .select(col("gid"), explode(col("tokens")).as("t"))
-      .distinct()
       .groupBy("gid")
-      .agg(collect_set(col("t")).as("ts"))
+      .agg(collect_set(col("t")))
       .collect()
-    for (row <- tokenRows) {
-      tgm.addTokensOnly(row.getInt(0), row.getSeq[Int](1))
-    }
-    val sizeRows = grouped.groupBy("gid").count().collect()
-    for (row <- sizeRows) tgm.setSize(row.getInt(0), row.getLong(1).toInt)
+      .foreach(row => tgm.addSet(row.getInt(0), row.getSeq[Int](1).toArray))
     tgm
   }
 

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** The token-group matrix (§3.1, Eq. 1): one bit per (group, token), with
   * M[g, t] = 1 iff some set in group g contains token t.
   *
@@ -9,61 +7,47 @@ import scala.collection.mutable.ArrayBuffer
   * of one flat `Array[Long]`, and bit g of them is M[g, t]. [[matchedAll]]
   * counts every group's matched tokens in one pass over Q, touching only
   * the set bits of Q's columns; [[matched]] answers one group with |Q| bit
-  * tests. The writers (`addGroup`, `addSet`, `addTokensOnly`) keep the view
-  * current; readers never change it. [[sizeBytes]] reports the size the
-  * matrix takes Roaring-compressed by rows, as the paper stores it.
+  * tests. The group count G is fixed at construction; the one writer,
+  * [[addSet]], keeps the view current; readers never change it.
+  * [[sizeBytes]] reports the size the matrix takes Roaring-compressed by
+  * rows, as the paper stores it.
   *
   * The matrix is mutable to support §6's update handling: groups can absorb
   * new sets and the token universe can grow (`nTokens` tracks the largest
   * universe seen; the view grows by doubling). The view is dense in the
-  * token id, so a writer rejects a token whose column would take it past
+  * token id, so the writer rejects a token whose column would take it past
   * [[TGM.MaxColumnLongs]] words, before changing anything.
   *
   * Concurrent reads are safe; a write needs a single writer and no reader
   * running at the same time.
   *
+  * @param nGroups number of groups G ≥ 1
   * @param measure similarity measure; must satisfy the TGM Applicability
   *                Property (Thm 3.1) — Jaccard / Cosine / Dice here do.
   */
-final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializable {
+final class TGM(val nGroups: Int, val measure: SetOps.Measure = SetOps.Jaccard) extends Serializable {
+  require(nGroups >= 1, s"a TGM needs at least one group, got $nGroups")
 
-  private val sizes = ArrayBuffer.empty[Int]
   private var universe = 0
 
   // The column view: token t's groups are the bits of
   // cols(t * words until (t + 1) * words), with room for colTokens tokens.
-  private var words = 0
+  private val words = (nGroups + 63) >>> 6
   private var colTokens = 0
   private var cols = new Array[Long](0)
 
   /** Current token-universe size (max token id + 1 over everything indexed). */
   def nTokens: Int = universe
-  def nGroups: Int = sizes.length
-  def groupSize(g: Int): Int = sizes(g)
 
-  /** Append an empty group; returns its id. */
-  def addGroup(): Int = {
-    val g = sizes.length
-    if ((g & 63) == 0) relayout(words + 1, colTokens)
-    sizes += 0
-    g
-  }
-
-  /** Copies the column view into `newWords` words per token for
-    * `newTokens` tokens; rejects a view past [[TGM.MaxColumnLongs]] before
-    * changing anything.
+  /** Grows the column view to `newTokens` tokens, keeping every column;
+    * rejects a view past [[TGM.MaxColumnLongs]] before changing anything.
     */
-  private def relayout(newWords: Int, newTokens: Long): Unit = {
-    val longs = newWords.toLong * newTokens
+  private def grow(newTokens: Long): Unit = {
+    val longs = words * newTokens
     require(longs <= TGM.MaxColumnLongs,
       s"the column view would need $longs longs for $newTokens tokens, over the limit of ${TGM.MaxColumnLongs}")
-    val next = new Array[Long](longs.toInt)
-    if (newWords == words) System.arraycopy(cols, 0, next, 0, cols.length)
-    else {
-      var t = 0
-      while (t < colTokens) { System.arraycopy(cols, t * words, next, t * newWords, words); t += 1 }
-    }
-    cols = next; words = newWords; colTokens = newTokens.toInt
+    cols = java.util.Arrays.copyOf(cols, longs.toInt)
+    colTokens = newTokens.toInt
   }
 
   /** Checks that every token is non-negative and that the column view can
@@ -78,39 +62,24 @@ final class TGM(val measure: SetOps.Measure = SetOps.Jaccard) extends Serializab
       top = math.max(top, tokens(i))
       i += 1
     }
-    require((top + 1L) * math.max(words, 1) <= TGM.MaxColumnLongs,
-      s"token $top needs a column view of ${(top + 1L) * math.max(words, 1)} longs, over the limit of ${TGM.MaxColumnLongs}")
+    require((top + 1L) * words <= TGM.MaxColumnLongs,
+      s"token $top needs a column view of ${(top + 1L) * words} longs, over the limit of ${TGM.MaxColumnLongs}")
     top
   }
 
-  /** Sets M[g, t] for every t in `tokens`; a rejected token leaves the
-    * view unchanged.
+  /** Record that one set with the given tokens, in any order, joined group
+    * `g`: sets M[g, t] for every t in `tokens`. A rejected group or token
+    * leaves the view unchanged.
     */
-  private def mark(g: Int, tokens: Array[Int]): Unit = {
+  def addSet(g: Int, tokens: Array[Int]): Unit = {
     java.util.Objects.checkIndex(g, nGroups)
     val top = requireTokens(tokens)
-    if (top >= colTokens)
-      relayout(words, math.min(math.max(top + 1L, 2L * colTokens), TGM.MaxColumnLongs / words))
+    if (top >= colTokens) grow(math.min(math.max(top + 1L, 2L * colTokens), TGM.MaxColumnLongs / words))
     val word = g >>> 6
     val bit = 1L << (g & 63)
     var i = 0
     while (i < tokens.length) { cols(tokens(i) * words + word) |= bit; i += 1 }
     if (top >= universe) universe = top + 1
-  }
-
-  /** Bulk-build hook: mark tokens present in group `g` without changing its
-    * size (used when the group's tokens arrive pre-aggregated, e.g. from a
-    * Spark `collect_set`).
-    */
-  def addTokensOnly(g: Int, tokens: Iterable[Int]): Unit = mark(g, tokens.toArray)
-
-  /** Bulk-build hook: set the recorded size of group `g`. */
-  def setSize(g: Int, n: Int): Unit = sizes(g) = n
-
-  /** Record that one set with the given tokens joined group `g`. */
-  def addSet(g: Int, tokens: Array[Int]): Unit = {
-    mark(g, tokens)
-    sizes(g) += 1
   }
 
   /** |GS_g ∩ Q| — the matched-token count of Eq. 4, one bit test per query
@@ -189,8 +158,7 @@ object TGM {
 
   /** Most `Long` words the column view may hold: 2^27, i.e. 1 GiB. A token
     * t is accepted only while (t + 1) · ⌈G/64⌉ stays within it (about 67M
-    * tokens at G ≤ 128), and a group only while the view re-laid out for
-    * ⌈(G + 1)/64⌉ words a token does.
+    * tokens at G ≤ 128).
     */
   val MaxColumnLongs: Long = 1L << 27
 
@@ -199,11 +167,9 @@ object TGM {
     */
   def build(db: collection.IndexedSeq[Array[Int]], grouping: Grouping,
             measure: SetOps.Measure = SetOps.Jaccard): TGM = {
-    val tgm = new TGM(measure)
-    var g = 0
-    while (g < grouping.nGroups) { tgm.addGroup(); g += 1 }
+    val tgm = new TGM(grouping.nGroups, measure)
     val universe = db.iterator.map(s => if (s.isEmpty) 0L else s.max + 1L).foldLeft(0L)(math.max)
-    if (tgm.words > 0 && universe > 0) tgm.relayout(tgm.words, universe)
+    if (universe > 0) tgm.grow(universe)
     var sid = 0
     while (sid < db.length) {
       tgm.addSet(grouping.assignment(sid), db(sid))

@@ -51,58 +51,55 @@ object Siamese {
                           lr: Double = 0.05, hidden: Array[Int] = Array(8, 8),
                           restarts: Int = 3, seed: Long = 23)
 
-  final case class TrainResult(model: SiameseModel, lossPerEpoch: Array[Double],
-                               trainMillis: Long)
+  final case class TrainResult(model: SiameseModel, lossPerEpoch: Array[Double])
 
-  /** Train a bisection model for the group `memberIds` (ids into `db`,
-    * with `reps(id)` the vector representation of set id).
+  /** Train a bisection model for the group `memberIds` (distinct ids into
+    * `db`, with `reps(id)` the vector representation of set id).
     */
   def train(memberIds: Array[Int], db: collection.IndexedSeq[Array[Int]],
             reps: Int => Array[Double], measure: SetOps.Measure,
             cfg: Config): TrainResult = {
-    val start = System.nanoTime()
     val n = memberIds.length
     require(n >= 2, "cannot bisect fewer than two sets")
-    val matReps = new java.util.HashMap[Int, Array[Double]](n * 2)
-    for (id <- memberIds) matReps.put(id, reps(id))
-    val dim = matReps.get(memberIds(0)).length
+    val matReps = memberIds.map(reps)
+    val dim = matReps(0).length
     val rnd = new Random(cfg.seed)
 
     // Standardize inputs over the group (stabilizes sigmoid training).
     val mean = new Array[Double](dim)
     val std = new Array[Double](dim)
-    for (id <- memberIds; i <- 0 until dim) mean(i) += matReps.get(id)(i)
+    for (rep <- matReps; i <- 0 until dim) mean(i) += rep(i)
     for (i <- 0 until dim) mean(i) /= n
-    for (id <- memberIds; i <- 0 until dim) {
-      val d = matReps.get(id)(i) - mean(i); std(i) += d * d
+    for (rep <- matReps; i <- 0 until dim) {
+      val d = rep(i) - mean(i); std(i) += d * d
     }
     for (i <- 0 until dim) std(i) = math.max(1e-6, math.sqrt(std(i) / n))
-    val zreps = new java.util.HashMap[Int, Array[Double]](n * 2)
-    for (id <- memberIds) {
+    val zreps = matReps.map { rep =>
       val z = new Array[Double](dim)
-      for (i <- 0 until dim) z(i) = (matReps.get(id)(i) - mean(i)) / std(i)
-      zreps.put(id, z)
+      for (i <- 0 until dim) z(i) = (rep(i) - mean(i)) / std(i)
+      z
     }
 
-    // Sample training pairs with their precomputed dissimilarities.
+    // Sample training pairs (as member positions) with their precomputed
+    // dissimilarities.
     val nPairs = math.min(cfg.pairs.toLong, 4L * n * n).toInt
     val pairX = new Array[Int](nPairs)
     val pairY = new Array[Int](nPairs)
     val dist = new Array[Double](nPairs)
     var p = 0
     while (p < nPairs) {
-      val x = memberIds(rnd.nextInt(n))
-      var y = memberIds(rnd.nextInt(n))
-      if (n > 1) while (y == x) y = memberIds(rnd.nextInt(n))
+      val x = rnd.nextInt(n)
+      var y = rnd.nextInt(n)
+      while (y == x) y = rnd.nextInt(n)
       pairX(p) = x; pairY(p) = y
-      dist(p) = 1.0 - measure.sim(db(x), db(y))
+      dist(p) = 1.0 - measure.sim(db(memberIds(x)), db(memberIds(y)))
       p += 1
     }
 
     // Declared before trainOnce so per-epoch early stopping can use them.
     def thresholdFor(net: MLP): Double = {
       // 0.5 unless it yields an empty side; then the median output.
-      val outputs = memberIds.map(id => net.output(zreps.get(id)))
+      val outputs = zreps.map(net.output)
       val left = outputs.count(_ < 0.5)
       if (left == 0 || left == n) {
         val sorted = outputs.sorted
@@ -113,14 +110,11 @@ object Siamese {
 
     /** The original Eq. 15 objective realized on the sampled pairs. */
     def realizedLoss(net: MLP, threshold: Double): Double = {
-      val sideOf = new java.util.HashMap[Int, Int](n * 2)
-      for (id <- memberIds) {
-        sideOf.put(id, if (net.output(zreps.get(id)) < threshold) 0 else 1)
-      }
+      val left = zreps.map(net.output(_) < threshold)
       var s = 0.0
       var p2 = 0
       while (p2 < nPairs) {
-        if (sideOf.get(pairX(p2)) == sideOf.get(pairY(p2))) s += dist(p2)
+        if (left(pairX(p2)) == left(pairY(p2))) s += dist(p2)
         p2 += 1
       }
       s
@@ -150,8 +144,8 @@ object Siamese {
         var b = start0
         while (b < end) {
           val pi = order(b)
-          val ax = net.forward(zreps.get(pairX(pi)))
-          val ay = net.forward(zreps.get(pairY(pi)))
+          val ax = net.forward(zreps(pairX(pi)))
+          val ay = net.forward(zreps(pairY(pi)))
           val ox = ax(net.nLayers)(0)
           val oy = ay(net.nLayers)(0)
           val sameSide = (ox >= 0.5 && oy >= 0.5) || (ox < 0.5 && oy < 0.5)
@@ -198,6 +192,6 @@ object Siamese {
         bestCurve = curve
       }
     }
-    TrainResult(bestModel, bestCurve, (System.nanoTime() - start) / 1000000L)
+    TrainResult(bestModel, bestCurve)
   }
 }

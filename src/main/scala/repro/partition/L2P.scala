@@ -70,8 +70,7 @@ object L2P {
                           levels: Seq[Grouping],
                           model: L2PModel,
                           modelsTrained: Int,
-                          lossCurves: Seq[Array[Double]],
-                          trainMillis: Long)
+                          lossCurves: Seq[Array[Double]])
 
   /** `frozen` marks a group whose Siamese model could not separate its
     * members (identical outputs for every member — e.g. duplicate sets or
@@ -102,7 +101,6 @@ object L2P {
     */
   def partitionWithReps(db: collection.IndexedSeq[Array[Int]], embedder: Embedder,
                         reps: Array[Array[Double]], cfg: Config): Result = {
-    val start = System.nanoTime()
     val n = db.length
     require(n > 0 && reps.length == n)
 
@@ -199,7 +197,6 @@ object L2P {
       new Grouping(a, groups.length)
     }.toSeq
     val model = new L2PModel(embedder, initUpper, roots.map(_.freeze()), frontier.length)
-    Result(finalGrouping, levelGroupings, model, modelsTrained,
-           lossCurves.toSeq, (System.nanoTime() - start) / 1000000L)
+    Result(finalGrouping, levelGroupings, model, modelsTrained, lossCurves.toSeq)
   }
 }

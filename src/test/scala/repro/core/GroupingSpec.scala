@@ -67,17 +67,4 @@ class GroupingSpec extends AnyFunSuite {
     assert(g.assignment.forall(a => a >= 0 && a < 7))
     assert(g.nSets == 100)
   }
-
-  test("contiguous chunks follow the given order") {
-    val order = Array(3, 1, 0, 2) // set 3 first
-    val g = Grouping.contiguous(order, 2)
-    assert(g.assignment(3) == 0 && g.assignment(1) == 0)
-    assert(g.assignment(0) == 1 && g.assignment(2) == 1)
-  }
-
-  test("contiguous sizes differ by at most one") {
-    val order = Array.range(0, 10)
-    val g = Grouping.contiguous(order, 3)
-    assert(g.sizes.max - g.sizes.min <= 1)
-  }
 }

@@ -49,14 +49,11 @@ class SparkSearchSpec extends SparkSpec {
       l2p.model.nGroups))
     val fromDF = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
     assert(fromDF.nGroups == local.nGroups)
+    assert(fromDF.nTokens == local.nTokens && fromDF.sizeBytes == local.sizeBytes)
     val rnd = new Random(1)
-    for (_ <- 1 to 30) {
-      val q = SetOps.canon(Seq.fill(rnd.nextInt(8) + 1)(rnd.nextInt(profile.nTokens)))
-      for (g <- 0 until local.nGroups) {
-        assert(fromDF.matched(q, g) == local.matched(q, g))
-        assert(fromDF.groupSize(g) == local.groupSize(g))
-      }
-    }
+    val qs = Seq(Array.empty[Int], Array(0, profile.nTokens, profile.nTokens + 70, 1 << 20)) ++
+      Seq.fill(30)(SetOps.canon(Seq.fill(rnd.nextInt(8) + 1)(rnd.nextInt(profile.nTokens))))
+    for (q <- qs) assert(fromDF.matchedAll(q).toSeq == local.matchedAll(q).toSeq, q.mkString(","))
   }
 
   test("distributed range search matches DuckDB oracle (Jaccard in SQL)") {

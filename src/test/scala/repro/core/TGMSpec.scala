@@ -4,7 +4,6 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 class TGMSpec extends AnyFunSuite {
@@ -36,11 +35,6 @@ class TGMSpec extends AnyFunSuite {
     val tgm = TGM.build(figure1Db, figure1Grouping)
     assert(tgm.ub(Array(0), 0) == 1.0)
     assert(tgm.ub(Array(0), 1) == 0.0)
-  }
-
-  test("group sizes recorded") {
-    val tgm = TGM.build(figure1Db, figure1Grouping)
-    assert((0 until tgm.nGroups).map(tgm.groupSize) == Seq(3, 3))
   }
 
   test("out-of-universe query tokens contribute 0 (Sec 3.1)") {
@@ -89,24 +83,16 @@ class TGMSpec extends AnyFunSuite {
   }
 
   test("addSet extends the token universe") {
-    val tgm = new TGM()
-    tgm.addGroup()
+    val tgm = new TGM(1)
     tgm.addSet(0, Array(5))
     assert(tgm.nTokens == 6)
     tgm.addSet(0, Array(100))
     assert(tgm.nTokens == 101)
     assert(tgm.matched(Array(5, 100), 0) == 2)
-    assert(tgm.groupSize(0) == 2)
   }
 
-  test("addTokensOnly does not change group size; setSize does") {
-    val tgm = new TGM()
-    tgm.addGroup()
-    tgm.addTokensOnly(0, Seq(1, 2, 3))
-    assert(tgm.groupSize(0) == 0)
-    assert(tgm.matched(Array(1, 2, 3), 0) == 3)
-    tgm.setSize(0, 7)
-    assert(tgm.groupSize(0) == 7)
+  test("a TGM needs at least one group") {
+    for (g <- Seq(0, -1)) intercept[IllegalArgumentException](new TGM(g))
   }
 
   test("sizeBytes positive and grows with content") {
@@ -120,8 +106,8 @@ class TGMSpec extends AnyFunSuite {
   // --- sizeBytes: the Roaring serialized size of the rows, per (group, chunk)
 
   private def oneGroup(tokens: Seq[Int]): TGM = {
-    val tgm = new TGM()
-    tgm.addTokensOnly(tgm.addGroup(), tokens)
+    val tgm = new TGM(1)
+    tgm.addSet(0, tokens.toArray)
     tgm
   }
 
@@ -133,13 +119,12 @@ class TGMSpec extends AnyFunSuite {
   }
 
   test("sizeBytes: an empty group costs 0 and re-adding present tokens changes nothing") {
-    val tgm = new TGM()
-    (0 until 3).foreach(_ => tgm.addGroup())
+    val tgm = new TGM(3)
     assert(tgm.sizeBytes == 0)
     tgm.addSet(1, Array(3, 70000))
     assert(tgm.sizeBytes == 2 * (4 + 2))
     tgm.addSet(1, Array(3, 70000))
-    tgm.addTokensOnly(1, Seq(70000, 3, 3))
+    tgm.addSet(1, Array(70000, 3, 3))
     assert(tgm.sizeBytes == 2 * (4 + 2))
   }
 
@@ -149,12 +134,10 @@ class TGMSpec extends AnyFunSuite {
       Array.fill(40)(SetOps.canon(Seq.fill(rnd.nextInt(6) + 1)(rnd.nextInt(30))))
     val g = Grouping.random(40, 4, 9)
     val bulk = built(db, g)
-    val inc = new Reference()
-    (0 until 4).foreach(_ => inc.addGroup())
+    val inc = new Reference(4)
     for (sid <- db.indices) inc.addSet(g.assignment(sid), db(sid))
     assertMatches(bulk.tgm, bulk.gs, queries(rnd, 30))
     assertMatches(inc.tgm, inc.gs, queries(rnd, 30))
-    for (grp <- 0 until 4) assert(bulk.tgm.groupSize(grp) == inc.tgm.groupSize(grp))
   }
 
   // --- every reader against GS_g kept as plain sets by the test
@@ -170,21 +153,17 @@ class TGMSpec extends AnyFunSuite {
         Array(nTokens, 1 << 20), Array.range(0, nTokens)) ++
       Seq.fill(20)(SetOps.canon(Seq.fill(rnd.nextInt(30))(rnd.nextInt(nTokens + 20) - 10)))
 
-  /** A TGM written through its public writers, with GS_g beside it. */
-  private final class Reference(val tgm: TGM = new TGM()) {
-    val gs = ArrayBuffer.empty[mutable.Set[Int]]
-    def addGroup(): Unit = { tgm.addGroup(); gs += mutable.Set.empty[Int] }
+  /** A TGM written through its writer, with GS_g beside it. */
+  private final class Reference(val tgm: TGM, val gs: IndexedSeq[mutable.Set[Int]]) {
+    def this(nGroups: Int) = this(new TGM(nGroups), IndexedSeq.fill(nGroups)(mutable.Set.empty[Int]))
     def addSet(g: Int, tokens: Array[Int]): Unit = { tgm.addSet(g, tokens); gs(g) ++= tokens }
-    def addTokensOnly(g: Int, tokens: Seq[Int]): Unit = { tgm.addTokensOnly(g, tokens); gs(g) ++= tokens }
   }
 
   /** [[TGM.build]] over `db`, with GS_g beside it. */
   private def built(db: Array[Array[Int]], grouping: Grouping,
-                    measure: SetOps.Measure = SetOps.Jaccard): Reference = {
-    val ref = new Reference(TGM.build(db, grouping, measure))
-    ref.gs ++= grouping.members.map(m => mutable.Set.from(m.iterator.flatMap(db(_))))
-    ref
-  }
+                    measure: SetOps.Measure = SetOps.Jaccard): Reference =
+    new Reference(TGM.build(db, grouping, measure),
+      grouping.members.toIndexedSeq.map(m => mutable.Set.from(m.iterator.flatMap(db(_)))))
 
   /** Roaring size of rows holding `gs`, chunk by chunk. */
   private def roaringBytes(gs: collection.IndexedSeq[collection.Set[Int]]): Long =
@@ -238,7 +217,7 @@ class TGMSpec extends AnyFunSuite {
     // 2 words a token: (2^30 + 1) · 2 longs would wrap an Int product
     for (bad <- Seq(Array(3, 1 << 30), Array(7, Int.MaxValue), Array(-1, 4)))
       intercept[IllegalArgumentException](tgm.addSet(0, bad))
-    intercept[IllegalArgumentException](tgm.addTokensOnly(64, Seq(1 << 30)))
+    intercept[IllegalArgumentException](tgm.addSet(64, Array(1 << 30)))
     assert(tgm.nTokens == tokens && tgm.columnBytes == bytes && tgm.sizeBytes == size)
     assertMatches(tgm, ref.gs, queries(rnd, tgm.nTokens) :+ Array(1 << 30))
     // the largest token the limit admits at 2 words a token is accepted
@@ -249,33 +228,16 @@ class TGMSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](TGM.build(Array.fill(65)(Array(1 << 30)), g65))
     intercept[IllegalArgumentException](TGM.build(Array(Array(-1, 2)), new Grouping(Array(0), 1)))
     // a group that does not exist is rejected before any write
-    intercept[IndexOutOfBoundsException](tgm.addSet(65, Array(1)))
-    intercept[IndexOutOfBoundsException](tgm.addTokensOnly(65, Seq(2)))
+    for (bad <- Seq(65, -1)) intercept[IndexOutOfBoundsException](tgm.addSet(bad, Array(1)))
     intercept[IndexOutOfBoundsException](tgm.matched(Array(1), 65))
     assertMatches(tgm, ref.gs, Seq(Array(1, 2)))
   }
 
-  test("column view follows groups added after sets, across multiples of 64") {
-    val rnd = new Random(42)
-    val ref = new Reference(new TGM(SetOps.Cosine))
-    for (g <- 0 until 130) {
-      ref.addGroup()
-      // sets land in old and new groups, so the re-laid-out words must keep earlier bits
-      for (_ <- 0 until 3) ref.addSet(rnd.nextInt(g + 1), randomSet(rnd, 150, 10))
-      if (g % 16 == 0 || g == 63 || g == 64 || g == 65) assertMatches(ref.tgm, ref.gs, queries(rnd, 150))
-    }
-    assertMatches(ref.tgm, ref.gs, queries(rnd, 150))
-  }
-
-  test("column view from the addTokensOnly + setSize build") {
+  test("column view from unsorted addSet rows (the collect_set order)") {
     val rnd = new Random(43)
-    val ref = new Reference()
-    (0 until 70).foreach(_ => ref.addGroup())
+    val ref = new Reference(70)
     // collect_set order: unsorted, large tokens first
-    for (g <- 0 until 70) {
-      ref.addTokensOnly(g, rnd.shuffle(randomSet(rnd, 500, 40).toSeq))
-      ref.tgm.setSize(g, rnd.nextInt(9))
-    }
+    for (g <- 0 until 70) ref.addSet(g, rnd.shuffle(randomSet(rnd, 500, 40).toSeq).toArray)
     assertMatches(ref.tgm, ref.gs, queries(rnd, ref.tgm.nTokens))
   }
 
@@ -294,13 +256,11 @@ class TGMSpec extends AnyFunSuite {
     val rnd = new Random(45)
     val db = Array.fill(300)(randomSet(rnd, 120, 10))
     val ref = built(db, Grouping.random(db.length, 65, 8), SetOps.Dice)
-    val copy = new Reference(roundTrip(ref.tgm))
-    copy.gs ++= ref.gs
+    val copy = new Reference(roundTrip(ref.tgm), ref.gs.map(_.clone()))
     assert(copy.tgm.columnBytes == ref.tgm.columnBytes && copy.tgm.measure == SetOps.Dice)
     assertMatches(copy.tgm, copy.gs, queries(rnd, ref.tgm.nTokens))
     // a deserialized matrix is still writable
-    copy.addGroup()
-    copy.addSet(65, Array(3, 999))
+    copy.addSet(64, Array(3, 999))
     assertMatches(copy.tgm, copy.gs, queries(rnd, copy.tgm.nTokens))
   }
 }

@@ -46,10 +46,9 @@ class L2PModelSerializationSpec extends AnyFunSuite {
     val tgm = repro.core.TGM.build(db, g)
     val copy = roundTrip(tgm)
     val q = db(7)
-    for (grp <- 0 until 5) {
-      assert(copy.ub(q, grp) == tgm.ub(q, grp))
-      assert(copy.groupSize(grp) == tgm.groupSize(grp))
-    }
+    for (grp <- 0 until 5) assert(copy.ub(q, grp) == tgm.ub(q, grp))
+    for (q <- db) assert(copy.matchedAll(q).toSeq == tgm.matchedAll(q).toSeq)
+    assert(copy.sizeBytes == tgm.sizeBytes)
   }
 
   test("serialized model size is small (the paper's L2P space argument)") {
