@@ -8,6 +8,10 @@ import scala.collection.mutable.ArrayBuffer
   * query. In the disk-based setting this is a single sequential scan — the
   * access pattern that makes brute force surprisingly competitive on HDDs
   * (Fig. 13).
+  *
+  * Unlike the other engines, `range` takes any δ: at δ = 0 it returns every
+  * set with its similarity, the one scan the benchmark's oracle
+  * (`perfbench.Oracle.scan`) reads every expected answer from.
   */
 final class BruteForce(db: collection.IndexedSeq[Array[Int]],
                        measure: SetOps.Measure = SetOps.Jaccard,

@@ -74,6 +74,7 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
 
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")
+    SetOps.requireDelta(delta, "range")
     val qVec = vec(q)
     val hits = ArrayBuffer.empty[Hit]
     var candidates = 0L

@@ -115,7 +115,7 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
 
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")
-    require(delta > 0.0, "InvIdx range requires delta > 0")
+    SetOps.requireDelta(delta, "range")
     if (q.isEmpty) {
       val hits = if (1.0 >= delta) ArrayBuffer.from(empties.map(Hit(_, 1.0))) else ArrayBuffer.empty[Hit]
       return SearchResult(hits, SearchStats(empties.length, 0, 0, 0.0))

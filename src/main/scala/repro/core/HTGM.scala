@@ -60,6 +60,7 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
   /** Range search with hierarchical pruning. */
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")
+    SetOps.requireDelta(delta, "range")
     var ubProbes = 0L
     var frontier = Array.range(0, levelTgms(0).nGroups)
     var ubs = levelTgms(0).ubs(q)

@@ -39,7 +39,10 @@ final case class SearchResult(hits: ArrayBuffer[Hit], stats: SearchStats)
 /** An exact in-memory engine: range (Definition 2.2) and kNN (Definition 2.1).
   * Queries must be canonical (sorted, distinct, non-negative tokens); an
   * engine rejects any other with `IllegalArgumentException`
-  * ([[SetOps.requireCanonical]]).
+  * ([[SetOps.requireCanonical]]). So does a range threshold outside
+  * (0, 1] ([[SetOps.requireDelta]]), except in [[repro.baselines.BruteForce]],
+  * whose range at δ = 0 is the scan of every similarity that the
+  * benchmark's oracle reads.
   */
 trait SimilarityIndex {
   def range(q: Array[Int], delta: Double): SearchResult
@@ -102,6 +105,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     */
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")
+    SetOps.requireDelta(delta, "range")
     val hits = ArrayBuffer.empty[Hit]
     val stats = store.searchRange(q, tgm.ubs(q), delta, hits)
     SearchResult(hits, stats)

@@ -27,6 +27,14 @@ object SetOps {
       s"$what needs sorted distinct non-negative tokens, got ${tokens.mkString("[", ", ", "]")}")
   }
 
+  /** Throws `IllegalArgumentException` unless 0 < `delta` ≤ 1, the range
+    * thresholds every engine accepts (NaN is rejected). `what` names the
+    * caller.
+    */
+  def requireDelta(delta: Double, what: String): Unit =
+    if (!(delta > 0.0 && delta <= 1.0))
+      throw new IllegalArgumentException(s"$what needs 0 < delta <= 1, got $delta")
+
   /** |a ∩ b| by linear merge; both inputs must be sorted-distinct. */
   def intersectSize(a: Array[Int], b: Array[Int]): Int = intersectSize(a, b, 0, b.length)
 

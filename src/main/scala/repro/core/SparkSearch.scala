@@ -68,7 +68,8 @@ object SparkSearch {
     }
   }
 
-  /** Distributed range search (Definition 2.2): the batch's queries, which
+  /** Distributed range search (Definition 2.2): δ, which must lie in
+    * (0, 1] ([[SetOps.requireDelta]]), and the batch's queries, which
     * must be canonical ([[SetOps.requireCanonical]]), are checked on the
     * driver, and one pass over `grouped` verifies, per partition, the
     * groups whose bound reaches δ with the TGM's measure. Returns
@@ -77,6 +78,7 @@ object SparkSearch {
   def rangeSearch(grouped: DataFrame, queries: DataFrame, tgm: TGM,
                   delta: Double): DataFrame = {
     import grouped.sparkSession.implicits._
+    SetOps.requireDelta(delta, "rangeSearch")
     val qs = queries.select(col("qid"), col("tokens")).as[(Long, Array[Int])].collect()
     qs.foreach { case (_, q) => SetOps.requireCanonical(q, "rangeSearch") }
     perPartition(grouped, qs, tgm) { (store, q, ubs) =>

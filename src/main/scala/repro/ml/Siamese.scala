@@ -55,6 +55,8 @@ object Siamese {
 
   /** Train a bisection model for the group `memberIds` (distinct ids into
     * `db`, with `reps(id)` the vector representation of set id).
+    * Re-entrant: a call only reads `db` and `reps` and keeps its own state,
+    * so several groups may train at once on different threads.
     */
   def train(memberIds: Array[Int], db: collection.IndexedSeq[Array[Int]],
             reps: Int => Array[Double], measure: SetOps.Measure,
@@ -96,10 +98,10 @@ object Siamese {
       p += 1
     }
 
-    // Declared before trainOnce so per-epoch early stopping can use them.
-    def thresholdFor(net: MLP): Double = {
+    // Both take the network's outputs over the members, computed once per
+    // epoch. Declared before trainOnce so per-epoch early stopping can use them.
+    def thresholdFor(outputs: Array[Double]): Double = {
       // 0.5 unless it yields an empty side; then the median output.
-      val outputs = zreps.map(net.output)
       val left = outputs.count(_ < 0.5)
       if (left == 0 || left == n) {
         val sorted = outputs.sorted
@@ -109,8 +111,8 @@ object Siamese {
     }
 
     /** The original Eq. 15 objective realized on the sampled pairs. */
-    def realizedLoss(net: MLP, threshold: Double): Double = {
-      val left = zreps.map(net.output(_) < threshold)
+    def realizedLoss(outputs: Array[Double], threshold: Double): Double = {
+      val left = outputs.map(_ < threshold)
       var s = 0.0
       var p2 = 0
       while (p2 < nPairs) {
@@ -120,7 +122,10 @@ object Siamese {
       s
     }
 
-    def trainOnce(runSeed: Long): (MLP, Array[Double], Double) = {
+    /** The best epoch's network, the loss curve, and the best epoch's
+      * realized loss and threshold.
+      */
+    def trainOnce(runSeed: Long): (MLP, Array[Double], Double, Double) = {
     val rnd = new Random(runSeed)
     val net = new MLP(Array(dim) ++ cfg.hidden ++ Array(1), runSeed ^ 0x5ca1ab1eL)
     val adam = new Adam(net, cfg.lr)
@@ -131,6 +136,7 @@ object Siamese {
     // good split is reached, so the best epoch is often not the last.
     var bestSnapshot: Array[Array[Double]] = null
     var bestRealized = Double.MaxValue
+    var bestThreshold = 0.0
 
     for (epoch <- 0 until cfg.epochs) {
       // shuffle pair order each epoch
@@ -168,9 +174,12 @@ object Siamese {
         start0 = end
       }
       lossPerEpoch(epoch) = epochLoss / nPairs
-      val realized = realizedLoss(net, thresholdFor(net))
+      val outputs = zreps.map(net.output)
+      val threshold = thresholdFor(outputs)
+      val realized = realizedLoss(outputs, threshold)
       if (realized < bestRealized) {
         bestRealized = realized
+        bestThreshold = threshold
         bestSnapshot = net.params.map(_.clone())
       }
     }
@@ -178,17 +187,17 @@ object Siamese {
     for (a <- net.params.indices) {
       System.arraycopy(bestSnapshot(a), 0, net.params(a), 0, net.params(a).length)
     }
-    (net, lossPerEpoch, bestRealized)
+    (net, lossPerEpoch, bestRealized, bestThreshold)
     }
 
     var bestModel: SiameseModel = null
     var bestLoss = Double.MaxValue
     var bestCurve: Array[Double] = null
     for (r <- 0 until math.max(1, cfg.restarts)) {
-      val (net, curve, realized) = trainOnce(cfg.seed + 1000L * r)
+      val (net, curve, realized, threshold) = trainOnce(cfg.seed + 1000L * r)
       if (realized < bestLoss) {
         bestLoss = realized
-        bestModel = new SiameseModel(net, mean, std, thresholdFor(net))
+        bestModel = new SiameseModel(net, mean, std, threshold)
         bestCurve = curve
       }
     }

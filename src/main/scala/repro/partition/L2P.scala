@@ -4,6 +4,7 @@ import repro.core.{Grouping, SetOps}
 import repro.embed.Embedder
 import repro.ml.{Siamese, SiameseModel}
 
+import java.util.stream.IntStream
 import scala.collection.mutable.ArrayBuffer
 
 /** L2P — Learn to Partition (§5.2): a cascade of Siamese networks that
@@ -13,7 +14,11 @@ import scala.collection.mutable.ArrayBuffer
   *  - initialization (§7.1): sets sorted by their minimal token and cut
   *    into `initGroups` contiguous chunks (paper: 128 on full datasets);
   *  - each level trains one Siamese model per splittable group (≥
-  *    `minGroupSize` = 50 sets) and bisects it;
+  *    `minGroupSize` = 50 sets) and bisects it. The level's models train
+  *    in parallel, on the calling thread's ForkJoin pool if it runs in one
+  *    and on the common pool otherwise. Their seeds are drawn in frontier
+  *    order before the level fans out, so the groupings, models and loss
+  *    curves are bit-identical at any pool size;
   *  - per-level groupings are retained so an [[repro.core.HTGM]] can be
   *    built from any pair of levels.
   *
@@ -90,14 +95,17 @@ object L2P {
       if (model == null) Leaf(groupId) else Split(model, left.freeze(), right.freeze())
   }
 
-  /** Run the cascade on `db` with representations from `embedder`. */
+  /** Run the cascade on `db` with representations from `embedder`.
+    * `db` must not change while it runs: the level's training tasks read
+    * it from several threads at once.
+    */
   def partition(db: collection.IndexedSeq[Array[Int]], embedder: Embedder, cfg: Config): Result =
     partitionWithReps(db, embedder, Array.tabulate(db.length)(i => embedder.embed(db(i))), cfg)
 
   /** Run the cascade with representations computed elsewhere (used by the
     * §7.3 comparison, where embedding cost is measured separately).
     * `embedder` is still carried into the deployable model for inference
-    * on new sets.
+    * on new sets. Neither `db` nor `reps` may change while it runs.
     */
   def partitionWithReps(db: collection.IndexedSeq[Array[Int]], embedder: Embedder,
                         reps: Array[Array[Double]], cfg: Config): Result = {
@@ -151,20 +159,27 @@ object L2P {
     while (frontier.exists(w => splittable(w) &&
              (frontier.length < cfg.targetGroups || oversized(w)))) {
       val splitAll = frontier.length < cfg.targetGroups
+      def toSplit(w: WorkGroup): Boolean = splittable(w) && (splitAll || oversized(w))
+      // The level's models share no state, so they train in parallel. Their
+      // seeds are drawn in frontier order first, so each model gets the
+      // seed, and hence the split, it would get trained one after another.
+      val work = frontier.filter(toSplit).toArray
+      val seeds = work.map { _ => levelSeed += 1; cfg.siamese.seed ^ levelSeed }
+      val trained = new Array[(Siamese.TrainResult, Array[Int], Array[Int])](work.length)
+      IntStream.range(0, work.length).parallel().forEach { i =>
+        val members = work(i).members
+        val tr = Siamese.train(members, db, reps(_), cfg.measure, cfg.siamese.copy(seed = seeds(i)))
+        val (leftB, rightB) = members.partition(id => tr.model.side(reps(id)) == 0)
+        trained(i) = (tr, leftB, rightB)
+      }
+      val results = trained.iterator
       val next = ArrayBuffer.empty[WorkGroup]
       for (w <- frontier) {
-        if (!(splittable(w) && (splitAll || oversized(w)))) next += w
+        if (!toSplit(w)) next += w
         else {
-          levelSeed += 1
-          val tr = Siamese.train(w.members, db, reps(_),
-            cfg.measure, cfg.siamese.copy(seed = cfg.siamese.seed ^ levelSeed))
+          val (tr, leftB, rightB) = results.next()
           modelsTrained += 1
           lossCurves += tr.lossPerEpoch
-          val leftB = ArrayBuffer.empty[Int]
-          val rightB = ArrayBuffer.empty[Int]
-          for (id <- w.members) {
-            if (tr.model.side(reps(id)) == 0) leftB += id else rightB += id
-          }
           if (leftB.isEmpty || rightB.isEmpty) {
             // Fully degenerate model: every member produced the same output
             // even after the median-threshold fallback (duplicate sets or
@@ -175,8 +190,8 @@ object L2P {
             w.node.model = tr.model
             w.node.left = new MutableNode
             w.node.right = new MutableNode
-            next += WorkGroup(w.chunk, leftB.toArray, w.node.left)
-            next += WorkGroup(w.chunk, rightB.toArray, w.node.right)
+            next += WorkGroup(w.chunk, leftB, w.node.left)
+            next += WorkGroup(w.chunk, rightB, w.node.right)
           }
         }
       }

@@ -170,9 +170,11 @@ class BaselinesSpec extends AnyFunSuite {
   test("DualTrans node bound dominates every member similarity") {
     val db = randomDb(100, 40, 6, 16)
     val dual = new DualTrans(db, d = 8)
-    // check via range with threshold 0: every set must surface (sound bound)
+    // check via range at each member's own similarity: a sound bound lets
+    // the member surface at that threshold
     val q = db(3)
-    assert(dual.range(q, 0.0).hits.length == db.length)
+    for (d <- db.map(SetOps.jaccard(q, _)).filter(_ > 0.0).distinct)
+      assert(dual.range(q, d).hits.map(h => (h.sid, h.sim)).sortBy(_._1) == naiveRange(db, q, d), s"delta $d")
   }
 
   test("DualTrans prunes when MBR bounds discriminate (size contrast)") {

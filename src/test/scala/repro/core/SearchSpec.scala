@@ -68,11 +68,14 @@ class SearchSpec extends AnyFunSuite {
     assert(index.knn(db(0), 50).hits.length == 10)
   }
 
-  test("range at delta above 1 returns nothing; at 0 returns everything") {
+  test("range at the ends of the delta domain equals brute force") {
     val db = randomDb(30, 20, 5, 7)
     val index = new Les3Index(db, Grouping.random(db.length, 4, 3))
-    assert(index.range(db(0), 1.01).hits.isEmpty)
-    assert(index.range(db(0), 0.0).hits.length == 30)
+    val brute = new BruteForce(db)
+    for (d <- Seq(Double.MinPositiveValue, 1.0)) {
+      assert(index.range(db(0), d).hits.map(h => (h.sid, h.sim)).sortBy(_._1) ==
+        brute.range(db(0), d).hits.map(h => (h.sid, h.sim)).sortBy(_._1), s"delta $d")
+    }
   }
 
   test("query for an indexed set always finds it with similarity 1") {
@@ -189,6 +192,21 @@ class SearchSpec extends AnyFunSuite {
         intercept[IllegalArgumentException](e.knn(bad, 1))
       }
     }
+  }
+
+  test("every engine but BruteForce rejects a range delta outside (0, 1]") {
+    val db: Array[Array[Int]] = Array(Array(1, 2, 3), Array(4, 5), Array(2, 3))
+    val grouping = new Grouping(Array(0, 1, 1), 2)
+    val engines = Seq[(String, SimilarityIndex)](
+      "LES3" -> new Les3Index(db, grouping), "HTGM" -> HTGM.build(db, Seq(grouping)),
+      "InvIdx" -> new InvIdx(db), "DualTrans" -> new DualTrans(db))
+    for ((name, e) <- engines) {
+      assert(e.range(Array(1, 2, 3), 1.0).hits.toSeq == Seq(Hit(0, 1.0)), name)
+      for (bad <- Seq(0.0, -0.1, 1.0 + 1e-9, Double.NaN))
+        intercept[IllegalArgumentException](e.range(Array(1, 2, 3), bad))
+    }
+    // The benchmark oracle's scan: BruteForce at δ = 0 returns every set.
+    assert(new BruteForce(db).range(Array(1, 2, 3), 0.0).hits.length == db.length)
   }
 
   test("size filter: a candidate whose size cannot reach δ is not verified") {

@@ -156,6 +156,16 @@ class SparkSearchSpec extends SparkSpec {
     }
   }
 
+  test("rangeSearch rejects a delta outside (0, 1] on the driver and accepts 1.0") {
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    import spark.implicits._
+    val queries = Seq((0L, db(0))).toDF("qid", "tokens")
+    for (bad <- Seq(0.0, -0.1, 1.0 + 1e-9, Double.NaN))
+      intercept[IllegalArgumentException](SparkSearch.rangeSearch(groupedDF, queries, tgm, bad))
+    val exact = SparkSearch.rangeSearch(groupedDF, queries, tgm, 1.0).collect().map(_.getLong(1)).sorted
+    assert(exact.toSeq == db.indices.filter(db(_).sameElements(db(0))).map(_.toLong))
+  }
+
   test("knnSearch rejects a batch that repeats a qid") {
     val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
     intercept[IllegalArgumentException](

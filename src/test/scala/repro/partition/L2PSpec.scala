@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Grouping, SetOps}
 import repro.embed.PTREmbedder
 import repro.ml.Siamese
+import java.util.concurrent.{Callable, ForkJoinPool}
 import scala.util.Random
 
 class L2PSpec extends AnyFunSuite {
@@ -107,6 +108,28 @@ class L2PSpec extends AnyFunSuite {
     val g2 = res.model.assign(Array.empty[Int])
     assert(g1 >= 0 && g1 < res.grouping.nGroups)
     assert(g2 >= 0 && g2 < res.grouping.nGroups)
+  }
+
+  test("partition is bit-identical on ForkJoin pools of 1 and 4 threads") {
+    val db = clusteredDb(800, 8, 12)
+    val embedder = new PTREmbedder(1600)
+    def onPool(threads: Int): L2P.Result = {
+      val pool = new ForkJoinPool(threads)
+      try pool.submit(new Callable[L2P.Result] {
+        def call(): L2P.Result = L2P.partition(db, embedder, fastCfg(16, init = 3))
+      }).get()
+      finally pool.shutdown()
+    }
+    val (a, b) = (onPool(1), onPool(4))
+    assert(a.modelsTrained == b.modelsTrained)
+    assert(a.grouping.assignment.toSeq == b.grouping.assignment.toSeq)
+    assert(a.levels.map(l => (l.nGroups, l.assignment.toSeq)) ==
+      b.levels.map(l => (l.nGroups, l.assignment.toSeq)))
+    def bits(curves: Seq[Array[Double]]) =
+      curves.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq)
+    assert(bits(a.lossCurves) == bits(b.lossCurves))
+    for (s <- db.toSeq ++ Seq(Array(1599), Array.empty[Int]))
+      assert(a.model.assign(s) == b.model.assign(s), s.mkString("[", ",", "]"))
   }
 
   test("partitionWithReps validates rep count") {
