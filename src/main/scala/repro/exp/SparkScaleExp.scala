@@ -60,12 +60,13 @@ object SparkScaleExp {
 
     val knnQueries = queryArr.take(50)
     val (knnHits, knnMs) = Harness.timeMs(SparkSearch.knnSearch(grouped, knnQueries, tgm, k))
-    // Exactness check of distributed kNN against a local scan per query.
+    // Exactness check of every distributed kNN answer against a local scan,
+    // as similarity multisets: the engine's similarities and SetOps.jaccard
+    // are bit-identical (both simFromOverlap), so no rounding is needed.
     val localDb = SetGen.local(p)
-    for ((qid, q) <- knnQueries.take(5)) {
-      val exact = localDb.map(s => SetOps.jaccard(q, s)).sorted.reverse.take(k)
-        .map(s => math.round(s * 1e9)).toSeq
-      val got = knnHits(qid).map(h => math.round(h.sim * 1e9)).toSeq
+    for ((qid, q) <- knnQueries) {
+      val exact = localDb.map(s => SetOps.jaccard(q, s)).sorted.reverse.take(k).toSeq
+      val got = knnHits(qid).map(_.sim).sorted.reverse.toSeq
       require(got == exact, s"distributed kNN mismatch for query $qid")
     }
     rangeRows :+ Row("LES3-spark", "knn", k, knnMs, knnHits.values.map(_.length.toLong).sum)

@@ -1,12 +1,17 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType}
 import repro.{Oracle, SparkSpec}
 import repro.baselines.{BruteForce, DualTrans, InvIdx}
 import repro.data.SetGen
 import repro.embed.PTREmbedder
 import repro.partition.L2P
 
+import java.util.concurrent.{CyclicBarrier, Executors}
+import scala.concurrent.duration.Duration
+import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.util.Random
 
 /** Distributed-path tests: the DataFrame TGM build, the broadcast-model
@@ -23,6 +28,37 @@ class SparkSearchSpec extends SparkSpec {
       siamese = repro.ml.Siamese.Config(pairs = 2000, epochs = 2)))
   private lazy val dataDF = SetGen.toDF(spark, profile)
   private lazy val groupedDF = SparkSearch.assignGroups(dataDF, l2p.model).cache()
+
+  /** A `grouped` no search has seen: a new, uncached object over the
+    * cached rows of `groupedDF`, so a search persists nothing but its stores.
+    */
+  private def freshGrouped() = { groupedDF.count(); groupedDF.repartition(3) }
+
+  private def persisted(): Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
+
+  /** Asserts range (as (sid, sim) sets) and kNN (as similarity multisets)
+    * on `grouped` equal `BruteForce` under the TGM's measure.
+    */
+  private def assertExact(grouped: DataFrame, tgm: TGM,
+                          queryArr: Array[(Long, Array[Int])], delta: Double, k: Int): Unit = {
+    import spark.implicits._
+    val brute = new BruteForce(db, tgm.measure)
+    val rows = SparkSearch.rangeSearch(grouped, queryArr.toSeq.toDF("qid", "tokens"), tgm, delta).collect()
+      .map(r => (r.getLong(0), (r.getLong(1).toInt, r.getDouble(2))))
+    val knn = SparkSearch.knnSearch(grouped, queryArr, tgm, k)
+    for ((qid, q) <- queryArr) {
+      assert(rows.filter(_._1 == qid).map(_._2).sorted.toSeq ==
+        brute.range(q, delta).hits.map(h => (h.sid, h.sim)).sorted.toSeq,
+        s"${tgm.measure.name}, ${tgm.nGroups} groups, range query $qid")
+      assert(knn(qid).map(_.sim).sorted.toSeq == brute.knn(q, k).hits.map(_.sim).sorted.toSeq,
+        s"${tgm.measure.name}, ${tgm.nGroups} groups, kNN query $qid")
+    }
+  }
+
+  private def someQueries(seed: Int, n: Int): Array[(Long, Array[Int])] = {
+    val rnd = new Random(seed)
+    Array.tabulate(n)(i => (i.toLong, db(rnd.nextInt(db.length))))
+  }
 
   test("Spark-generated data equals local generation") {
     val rows = dataDF.collect().map(r => (r.getLong(0), r.getSeq[Int](1).toArray)).sortBy(_._1)
@@ -215,5 +251,66 @@ class SparkSearchSpec extends SparkSpec {
       }
       grouped.unpersist(blocking = true)
     }
+  }
+
+  test("alternating range and kNN calls on one grouped persist exactly one stores RDD") {
+    val grouped = freshGrouped()
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    val before = persisted()
+    assertExact(grouped, tgm, someQueries(7, 6), 0.5, 10)
+    val stores = persisted() -- before
+    assert(stores.size == 1)
+    for (i <- 8 to 10) assertExact(grouped, tgm, someQueries(i, 6), 0.5, 10)
+    assert(persisted() -- before == stores)
+  }
+
+  test("a TGM of another measure or group count replaces the stores of a grouped") {
+    val grouped = freshGrouped()
+    val n = l2p.model.nGroups
+    val before = persisted()
+    var seen = Set.empty[Int]
+    // n + 1 groups before n: stores kept from n + 1 would have a group the TGM lacks
+    for ((measure, groups) <- Seq((SetOps.Jaccard, n + 1), (SetOps.Cosine, n + 1), (SetOps.Cosine, n),
+                                  (SetOps.Jaccard, n))) {
+      val tgm = SparkSearch.buildTGM(grouped, groups, measure)
+      assertExact(grouped, tgm, someQueries(11, 5), 0.5, 10)
+      val stores = persisted() -- before
+      assert(stores.size == 1, s"${measure.name}, $groups groups: stores RDDs $stores")
+      assert(!seen.contains(stores.head), s"${measure.name}, $groups groups: stores not rebuilt")
+      seen += stores.head
+    }
+  }
+
+  test("two driver threads searching a fresh grouped at once both get exact answers") {
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    val pool = Executors.newFixedThreadPool(2)
+    implicit val ec: ExecutionContext = ExecutionContext.fromExecutorService(pool)
+    try {
+      for (round <- 0 until 3) {
+        val grouped = freshGrouped()
+        val before = persisted()
+        val start = new CyclicBarrier(2)
+        // kNN first: it reaches the store build without a job of its own
+        val calls = (0 until 2).map { t =>
+          Future { start.await(); assertExact(grouped, tgm, someQueries(20 + 2 * round + t, 5), 0.6, 5) }
+        }
+        calls.foreach(Await.result(_, Duration.Inf))
+        assert((persisted() -- before).size == 1, s"round $round")
+      }
+    } finally pool.shutdown()
+  }
+
+  test("an empty batch gives an empty answer and builds no stores") {
+    import spark.implicits._
+    val grouped = freshGrouped()
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    val before = persisted()
+    assert(SparkSearch.knnSearch(grouped, Array.empty, tgm, 10).isEmpty)
+    intercept[IllegalArgumentException](SparkSearch.knnSearch(grouped, Array.empty, tgm, 0))
+    val range = SparkSearch.rangeSearch(grouped, Seq.empty[(Long, Array[Int])].toDF("qid", "tokens"), tgm, 0.5)
+    assert(range.schema.map(f => (f.name, f.dataType)) ==
+      Seq(("qid", LongType), ("sid", LongType), ("sim", DoubleType)))
+    assert(range.collect().isEmpty)
+    assert(persisted() == before)
   }
 }
