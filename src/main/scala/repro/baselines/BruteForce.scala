@@ -17,7 +17,7 @@ final class BruteForce(db: collection.IndexedSeq[Array[Int]],
                        measure: SetOps.Measure = SetOps.Jaccard,
                        io: IOModel = IOModel.InMemory) extends SimilarityIndex {
 
-  private val totalBytes: Long = db.iterator.map(s => io.dataBytes(s.length)).sum
+  private val totalBytes: Long = db.iterator.map(s => io.dataBytes(s.length, 1)).sum
 
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")

@@ -83,7 +83,7 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
     tree.rangeSearch(jaccardUb(q, qVec, _), delta,
       onNode = { n => nodes += 1; ioMs += io.randomAccess(io.indexBytes(nodeBytes(n))) },
       onLeafId = { sid =>
-        ioMs += io.randomAccess(io.dataBytes(db(sid).length))
+        ioMs += io.randomAccess(io.dataBytes(db(sid).length, 1))
         val sim = SetOps.jaccard(q, db(sid))
         candidates += 1
         if (sim >= delta) hits += Hit(sid, sim)
@@ -103,7 +103,7 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
       continueWith = bound => !top.full || bound > top.min,
       onNode = { n => nodes += 1; ioMs += io.randomAccess(io.indexBytes(nodeBytes(n))) },
       onLeafId = { sid =>
-        ioMs += io.randomAccess(io.dataBytes(db(sid).length))
+        ioMs += io.randomAccess(io.dataBytes(db(sid).length, 1))
         candidates += 1
         top.offer(sid, SetOps.jaccard(q, db(sid)))
       })

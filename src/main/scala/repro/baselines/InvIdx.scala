@@ -99,7 +99,7 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
           for (sid <- postings(t)) {
             val len = db(sid).length
             if (SetOps.Jaccard.sizeUb(qs.length, len) >= delta && seen.add(sid)) {
-              ioMs += io.randomAccess(io.dataBytes(len))
+              ioMs += io.randomAccess(io.dataBytes(len, 1))
               val sim = SetOps.jaccard(q, db(sid))
               candidates += 1
               found(sid, sim)

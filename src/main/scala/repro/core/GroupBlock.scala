@@ -17,6 +17,8 @@ private[core] final class GroupBlock private (var sids: Array[Int], private var 
 
   def n: Int = sids.length
   def size(i: Int): Int = offsets(i + 1) - offsets(i)
+  /** The tokens of all members together. */
+  def nTokens: Int = offsets(n)
 
   /** Similarity of member `i` to `q`, bit-identical to `measure.sim`. */
   def sim(i: Int, q: Array[Int], measure: SetOps.Measure): Double =

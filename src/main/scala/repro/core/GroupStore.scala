@@ -9,43 +9,46 @@ import scala.collection.mutable.ArrayBuffer
   * that survive its hierarchy, and [[SparkSearch]] over each partition's
   * rows. The store of `sets` partitioned by `grouping` holds one block per
   * group; a member's id, which its hits carry, is its position in `sets`.
+  * The store has no measure of its own: each search verifies with the
+  * measure of the TGM whose bounds it uses.
   *
   * Concurrent searches are safe; [[GroupBlock.insert]] needs a single
   * writer and no search running at the same time.
   */
-private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], grouping: Grouping,
-                                     measure: SetOps.Measure, io: IOModel) {
+private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], grouping: Grouping, io: IOModel) {
 
   val blocks: Array[GroupBlock] = grouping.members.map(m => GroupBlock.build(m, m.map(sets)))
 
-  private def groupBytes(b: GroupBlock): Long = {
-    var total = 0L
-    var i = 0
-    while (i < b.n) { total += io.dataBytes(b.size(i)); i += 1 }
-    total
+  /** [[TGM.ubs]] of `q`, once `tgm` is known to bound every block. */
+  private def bounds(q: Array[Int], tgm: TGM): Array[Double] = {
+    require(tgm.nGroups >= blocks.length, s"${tgm.nGroups} TGM groups cannot bound ${blocks.length} blocks")
+    tgm.ubs(q)
   }
 
-  /** Range search (Definition 2.2) over every group, `ubs` being
-    * [[TGM.ubs]] of `q`: verify exactly the groups whose bound reaches δ.
+  /** Range search (Definition 2.2) over every group under `tgm`'s bounds
+    * and measure: verify exactly the groups whose bound reaches δ.
     */
-  def searchRange(q: Array[Int], ubs: Array[Double], delta: Double, hits: ArrayBuffer[Hit]): SearchStats =
-    verifyRange(q, Array.range(0, blocks.length), ubs, delta, hits, SearchStats(0, 0, 0, 0.0))
+  def searchRange(q: Array[Int], tgm: TGM, delta: Double, hits: ArrayBuffer[Hit]): SearchStats =
+    verifyRange(q, Array.range(0, blocks.length), bounds(q, tgm), tgm.measure, delta, hits,
+                SearchStats(0, 0, 0, 0.0))
 
-  /** kNN search (Definition 2.1) over every group, `ubs` being [[TGM.ubs]]
-    * of `q`: visit groups in descending-bound order ([[verifyKnn]]).
+  /** kNN search (Definition 2.1) over every group under `tgm`'s bounds and
+    * measure: visit groups in descending-bound order ([[verifyKnn]]).
     */
-  def searchKnn(q: Array[Int], ubs: Array[Double], top: TopK): SearchStats = {
+  def searchKnn(q: Array[Int], tgm: TGM, top: TopK): SearchStats = {
+    val ubs = bounds(q, tgm)
     val order = Array.range(0, blocks.length).sortBy(g => -ubs(g))
-    verifyKnn(q, order, order.map(ubs), top, SearchStats(0, blocks.length.toLong * q.length, 0, 0.0))
+    verifyKnn(q, order, order.map(ubs), tgm.measure, top,
+              SearchStats(0, blocks.length.toLong * q.length, 0, 0.0))
   }
 
   /** Reads the non-empty groups of `gs` whose bound reaches δ, `ubs(j)`
     * being the bound of `gs(j)`: their members are candidates, those whose
-    * size bound reaches δ are verified, and those with sim ≥ δ join `hits`.
-    * Returns `s` plus the probes and reads.
+    * size bound reaches δ are verified under `measure`, and those with
+    * sim ≥ δ join `hits`. Returns `s` plus the probes and reads.
     */
-  def verifyRange(q: Array[Int], gs: Array[Int], ubs: Array[Double], delta: Double,
-                  hits: ArrayBuffer[Hit], s: SearchStats): SearchStats = {
+  def verifyRange(q: Array[Int], gs: Array[Int], ubs: Array[Double], measure: SetOps.Measure,
+                  delta: Double, hits: ArrayBuffer[Hit], s: SearchStats): SearchStats = {
     var candidates = 0L
     var verified = 0L
     var groupsRead = 0
@@ -55,7 +58,7 @@ private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], gr
       val b = blocks(gs(j))
       if (ubs(j) >= delta && b.n > 0) {
         groupsRead += 1
-        ioMs += io.randomAccess(groupBytes(b))
+        ioMs += io.randomAccess(io.dataBytes(b.nTokens, b.n))
         candidates += b.n
         // The qualifying sizes are one run: it ends at the first failing
         // member past firstFit, which is larger than Q.
@@ -76,13 +79,14 @@ private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], gr
   /** Visits the groups `gs` in order for a kNN query, `ubs(j)` being the
     * bound of `gs(j)`: stops at the first bound that cannot beat the
     * kth-best similarity, and reads the other non-empty groups, offering
-    * to `top` every member whose size bound beats the kth-best. Exact: any
+    * to `top` every member whose size bound beats the kth-best, verified
+    * under `measure`. Exact: any
     * unvisited set has sim ≤ UB(group) ≤ kth-best — a set tying the
     * kth-best is interchangeable with it under Definition 2.1, so the cut
     * uses ≤. Returns `s` plus the reads.
     */
-  def verifyKnn(q: Array[Int], gs: Array[Int], ubs: Array[Double], top: TopK,
-                s: SearchStats): SearchStats = {
+  def verifyKnn(q: Array[Int], gs: Array[Int], ubs: Array[Double], measure: SetOps.Measure,
+                top: TopK, s: SearchStats): SearchStats = {
     var candidates = 0L
     var verified = 0L
     var groupsRead = 0
@@ -94,7 +98,7 @@ private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], gr
       if (top.full && ubs(j) <= top.min) done = true
       else if (b.n > 0) {
         groupsRead += 1
-        ioMs += io.randomAccess(groupBytes(b))
+        ioMs += io.randomAccess(io.dataBytes(b.nTokens, b.n))
         candidates += b.n
         // A member can enter `top` only if its size bound beats the
         // kth-best: sizeUb > min ⇔ sizeUb ≥ nextUp(min). The bar rises as

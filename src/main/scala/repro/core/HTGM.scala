@@ -52,7 +52,7 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
           ubProbes += q.length
           pq.enqueue(Entry(e.level + 1, child, tgmNext.ub(q, child)))
         }
-      } else reads = fine.store.verifyKnn(q, Array(e.g), Array(e.ub), top, reads)
+      } else reads = fine.store.verifyKnn(q, Array(e.g), Array(e.ub), fine.tgm.measure, top, reads)
     }
     SearchResult(top.hits, reads.copy(ubProbes = ubProbes))
   }
@@ -73,7 +73,8 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
       ubs = frontier.map(tgm.ub(q, _))
     }
     val hits = ArrayBuffer.empty[Hit]
-    val stats = fine.store.verifyRange(q, frontier, ubs, delta, hits, SearchStats(0, ubProbes, 0, 0.0))
+    val stats = fine.store.verifyRange(q, frontier, ubs, fine.tgm.measure, delta, hits,
+                                       SearchStats(0, ubProbes, 0, 0.0))
     SearchResult(hits, stats)
   }
 }

@@ -90,7 +90,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
 
   /** Mutable database — §6 allows insertions after the index is built. */
   val db: ArrayBuffer[Array[Int]] = ArrayBuffer.from(initialDb)
-  private[core] val store: GroupStore = new GroupStore(initialDb, grouping, measure, io)
+  private[core] val store: GroupStore = new GroupStore(initialDb, grouping, io)
   val tgm: TGM = TGM.build(initialDb, grouping, measure)
 
   def nSets: Int = db.length
@@ -107,7 +107,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     SetOps.requireCanonical(q, "range")
     SetOps.requireDelta(delta, "range")
     val hits = ArrayBuffer.empty[Hit]
-    val stats = store.searchRange(q, tgm.ubs(q), delta, hits)
+    val stats = store.searchRange(q, tgm, delta, hits)
     SearchResult(hits, stats)
   }
 
@@ -118,7 +118,7 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
   def knn(q: Array[Int], k: Int): SearchResult = {
     SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
-    val stats = store.searchKnn(q, tgm.ubs(q), top)
+    val stats = store.searchKnn(q, tgm, top)
     SearchResult(top.hits, stats)
   }
 

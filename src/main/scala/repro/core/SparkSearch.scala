@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -20,9 +19,11 @@ import scala.collection.mutable
   *
   * A `grouped` object is read once, at its first search: each partition's
   * rows become a persisted [[GroupStore]] that every later search of that
-  * object reuses, until the object is unreachable or a TGM with another
-  * group count or measure replaces the stores. The TGM is broadcast per
-  * call, so a TGM written since the last call is honoured.
+  * object reuses, under any TGM that covers its gids, until the object is
+  * unreachable. The stores hold no measure: the TGM owns it, and is
+  * broadcast per call, so a TGM written since the last call is honoured.
+  * Range and kNN share one driver path: each call runs one job over the
+  * stores, collects it and destroys its broadcast before it returns.
   */
 object SparkSearch {
 
@@ -52,121 +53,100 @@ object SparkSearch {
     tgm
   }
 
-  /** The stores of one `grouped`: per partition, its sids and the
-    * [[GroupStore]] of its rows (a member's id is its position among
-    * them), built for TGMs of `nGroups` groups under `measure`.
-    */
-  private final case class Stores(nGroups: Int, measure: SetOps.Measure,
-                                  rdd: RDD[(Array[Long], GroupStore)])
-
   /** The stores of every `grouped` searched so far, keyed by the object
-    * itself: `Dataset` keeps reference equality. An entry goes when its key
-    * is unreachable, and Spark's `ContextCleaner` then unpersists its RDD.
+    * itself (`Dataset` keeps reference equality): per partition, its sids
+    * and the [[GroupStore]] of its rows, a member's id being its position
+    * among them. An entry goes when its key is unreachable, and Spark's
+    * `ContextCleaner` then unpersists its RDD.
     */
-  private val cache = new java.util.WeakHashMap[DataFrame, Stores]
+  private val cache = new java.util.WeakHashMap[DataFrame, RDD[(Array[Long], GroupStore)]]
 
-  /** The persisted stores of `grouped` for `tgm`'s shape: built at the
-    * first search, kept across calls, and replaced (the old RDD
-    * unpersisted) when a TGM with another group count or measure comes.
-    * `grouped` is read only when they are built, so rows added to it later
-    * are not seen.
+  /** The persisted stores of `grouped`, built at its first search and kept
+    * across calls. A partition's store has a block per gid up to its
+    * largest, so it serves every TGM with at least that many groups, under
+    * any measure. `grouped` is read only then: rows added later are not seen.
     */
-  private def stores(grouped: DataFrame, tgm: TGM): RDD[(Array[Long], GroupStore)] = cache.synchronized {
-    val (n, m) = (tgm.nGroups, tgm.measure)
-    val old = cache.get(grouped)
-    if (old != null && old.nGroups == n && old.measure == m) old.rdd
-    else {
-      if (old != null) old.rdd.unpersist(blocking = false)
+  private def stores(grouped: DataFrame): RDD[(Array[Long], GroupStore)] = cache.synchronized {
+    Option(cache.get(grouped)).getOrElse {
       import grouped.sparkSession.implicits._
       val rdd = grouped.select(col("sid"), col("tokens"), col("gid")).as[(Long, Array[Int], Int)].rdd
         .mapPartitions { rows =>
-          val rs = rows.toArray
-          Iterator((rs.map(_._1), new GroupStore(rs.map(_._2), new Grouping(rs.map(_._3), n), m,
-                                                 IOModel.InMemory)))
+          val (sids, sets, gids) = rows.toArray.unzip3
+          val grouping = new Grouping(gids, gids.maxOption.fold(1)(_ + 1))
+          Iterator((sids, new GroupStore(sets, grouping, IOModel.InMemory)))
         }.persist(StorageLevel.MEMORY_ONLY)
-      cache.put(grouped, Stores(n, m, rdd))
+      cache.put(grouped, rdd)
       rdd
     }
   }
 
-  /** Runs `search` for every query of a batch in one RDD job over the
-    * stores of `grouped` ([[stores]]). `batch` is the broadcast
-    * `(tgm, queries)`: per partition and query, `search` gets the store
-    * and the query's bounds ([[TGM.ubs]]), and each hit it returns
-    * becomes a `(qid, sid, sim)` row. A group's bound covers its members
-    * in every partition, so each partition's answer is exact over its rows.
+  /** The one driver path of both searches. Checks the queries
+    * ([[SetOps.requireCanonical]]), broadcasts `(tgm, queries)`, runs
+    * `search` for every query in one RDD job over the stores of `grouped`,
+    * collects the hits as `(qid, sid, sim)` rows and destroys the
+    * broadcast; an empty batch runs no job. A group's bound covers its
+    * members in every partition, so each partition's answer is exact over
+    * its rows. A TGM with fewer groups than some row's gid fails the job
+    * with an `IllegalArgumentException`.
     */
-  private def perPartition(grouped: DataFrame, tgm: TGM, batch: Broadcast[(TGM, Array[(Long, Array[Int])])])(
-      search: (GroupStore, Array[Int], Array[Double]) => Iterable[Hit]): RDD[(Long, Long, Double)] =
-    stores(grouped, tgm).mapPartitions { parts =>
-      val (t, qs) = batch.value
-      parts.flatMap { case (sids, store) =>
-        qs.iterator.flatMap { case (qid, q) =>
-          search(store, q, t.ubs(q)).map(h => (qid, sids(h.sid), h.sim))
+  private def collectHits(grouped: DataFrame, queries: Array[(Long, Array[Int])], tgm: TGM, caller: String)(
+      search: (GroupStore, Array[Int], TGM) => Iterable[Hit]): Array[(Long, Long, Double)] = {
+    queries.foreach { case (_, q) => SetOps.requireCanonical(q, caller) }
+    if (queries.isEmpty) Array.empty
+    else {
+      val batch = grouped.sparkSession.sparkContext.broadcast((tgm, queries))
+      try stores(grouped).mapPartitions { parts =>
+        val (t, qs) = batch.value
+        parts.flatMap { case (sids, store) =>
+          qs.iterator.flatMap { case (qid, q) => search(store, q, t).map(h => (qid, sids(h.sid), h.sim)) }
         }
-      }
+      }.collect()
+      finally batch.destroy()
     }
+  }
 
-  /** Distributed range search (Definition 2.2): δ, which must lie in
-    * (0, 1] ([[SetOps.requireDelta]]), and the batch's queries, which
-    * must be canonical ([[SetOps.requireCanonical]]), are checked on the
-    * driver, and one pass over the stores of `grouped` verifies, per
-    * partition, the groups whose bound reaches δ with the TGM's measure.
-    * Returns `(qid, sid, sim)` with sim ≥ δ; an empty batch gives no rows
-    * and runs no search. The answer is lazy and may run again, so the
-    * broadcast batch is left to Spark's `ContextCleaner`.
+  /** Distributed range search (Definition 2.2) with the TGM's measure: δ,
+    * which must lie in (0, 1] ([[SetOps.requireDelta]]), is checked on the
+    * driver, and each partition verifies the groups whose bound reaches δ
+    * ([[collectHits]]). Returns `(qid, sid, sim)` with sim ≥ δ as a local
+    * `DataFrame`, collected before the call returns, so reading it runs no
+    * search again.
     */
-  def rangeSearch(grouped: DataFrame, queries: DataFrame, tgm: TGM,
-                  delta: Double): DataFrame = {
-    val spark = grouped.sparkSession
-    import spark.implicits._
+  def rangeSearch(grouped: DataFrame, queries: DataFrame, tgm: TGM, delta: Double): DataFrame = {
+    import grouped.sparkSession.implicits._
     SetOps.requireDelta(delta, "rangeSearch")
     val qs = queries.select(col("qid"), col("tokens")).as[(Long, Array[Int])].collect()
-    qs.foreach { case (_, q) => SetOps.requireCanonical(q, "rangeSearch") }
-    val rows =
-      if (qs.isEmpty) spark.emptyDataset[(Long, Long, Double)]
-      else {
-        val batch = spark.sparkContext.broadcast((tgm, qs))
-        spark.createDataset(perPartition(grouped, tgm, batch) { (store, q, ubs) =>
-          val hits = mutable.ArrayBuffer.empty[Hit]
-          store.searchRange(q, ubs, delta, hits)
-          hits
-        })
-      }
-    rows.toDF("qid", "sid", "sim")
+    collectHits(grouped, qs, tgm, "rangeSearch") { (store, q, t) =>
+      val hits = mutable.ArrayBuffer.empty[Hit]
+      store.searchRange(q, t, delta, hits)
+      hits
+    }.toSeq.toDF("qid", "sid", "sim")
   }
 
   /** Exact distributed kNN (Definition 2.1) in one pass over the stores
-    * of `grouped`: each partition returns its exact local top-k per query,
-    * and the driver merges them with one [[TopK]] per query, then destroys
-    * the broadcast batch. Exact, because the global top-k is a union of
-    * local top-ks: a set outside its partition's top-k has at most that
-    * partition's kth-best similarity, which is never above the global
-    * kth-best. The queries must be canonical, with distinct qids, and
-    * k ≥ 1; all are checked on the driver before any job starts. An empty
-    * batch gives an empty map and runs no job. A sid must fit [[Hit]]'s
-    * `Int`, else `ArithmeticException`. Returns per-query hits sorted by
-    * descending similarity.
+    * of `grouped` ([[collectHits]]): each partition returns its exact local
+    * top-k per query, and the driver merges them with one [[TopK]] per
+    * query. Exact, because the global top-k is a union of local top-ks: a
+    * set outside its partition's top-k has at most that partition's
+    * kth-best similarity, which is never above the global kth-best. The
+    * queries must be canonical, with distinct qids, and k ≥ 1; all are
+    * checked on the driver before any job starts. An empty batch gives an
+    * empty map. A sid must fit [[Hit]]'s `Int`, else
+    * `ArithmeticException`. Returns per-query hits sorted by descending
+    * similarity.
     */
   def knnSearch(grouped: DataFrame, queries: Array[(Long, Array[Int])], tgm: TGM,
                 k: Int): Map[Long, Array[Hit]] = {
     require(k >= 1, s"kNN needs k >= 1, got k = $k")
     require(queries.map(_._1).distinct.length == queries.length, "knnSearch needs distinct qids")
-    queries.foreach { case (_, q) => SetOps.requireCanonical(q, "knnSearch") }
-    if (queries.isEmpty) Map.empty
-    else {
-      val batch = grouped.sparkSession.sparkContext.broadcast((tgm, queries))
-      try {
-        val local = perPartition(grouped, tgm, batch) { (store, q, ubs) =>
-          val top = new TopK(k)
-          store.searchKnn(q, ubs, top)
-          top.hits
-        }.collect()
-        val tops = queries.map { case (qid, _) => qid -> new TopK(k) }.toMap
-        for ((qid, sid, sim) <- local) tops(qid).offer(Math.toIntExact(sid), sim)
-        tops.map { case (qid, top) => qid -> top.hits.toArray }
-      } finally batch.destroy()
+    val local = collectHits(grouped, queries, tgm, "knnSearch") { (store, q, t) =>
+      val top = new TopK(k)
+      store.searchKnn(q, t, top)
+      top.hits
     }
+    val tops = queries.map { case (qid, _) => qid -> new TopK(k) }.toMap
+    for ((qid, sid, sim) <- local) tops(qid).offer(Math.toIntExact(sid), sim)
+    tops.map { case (qid, top) => qid -> top.hits.toArray }
   }
 
   /** Distributed brute force (the scale-out comparison point): a full

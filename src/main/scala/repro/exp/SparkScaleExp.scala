@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{SetOps, SparkSearch}
 import repro.data.SetGen
 import repro.embed.PTREmbedder
@@ -44,18 +44,21 @@ object SparkScaleExp {
     // Warm-up: exercise both physical plans once so JIT/codegen and the
     // generator caches don't land on whichever method runs first.
     val warm = queryArr.take(2).toSeq.toDF("qid", "tokens")
-    SparkSearch.rangeSearch(grouped, warm, tgm, 0.8).count()
-    SparkSearch.bruteForceRange(data, warm, 0.8).count()
+    SparkSearch.rangeSearch(grouped, warm, tgm, 0.8).collect()
+    SparkSearch.bruteForceRange(data, warm, 0.8).collect()
 
+    // Both answers are checked as exact (qid, sid, sim) rows: both sides
+    // compute the similarity with simFromOverlap, so the values are
+    // bit-identical.
+    def answer(df: DataFrame): Seq[(Long, Long, Double)] =
+      df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).sorted.toSeq
     val rangeRows = deltas.flatMap { d =>
-      val (les3Count, les3Ms) = Harness.timeMs(
-        SparkSearch.rangeSearch(grouped, queries, tgm, d).count())
-      val (bruteCount, bruteMs) = Harness.timeMs(
-        SparkSearch.bruteForceRange(data, queries, d).count())
-      require(les3Count == bruteCount,
-        s"distributed range mismatch at delta=$d: les3=$les3Count brute=$bruteCount")
-      Seq(Row("LES3-spark", "range", d, les3Ms, les3Count),
-          Row("Brute-spark", "range", d, bruteMs, bruteCount))
+      val (les3, les3Ms) = Harness.timeMs(answer(SparkSearch.rangeSearch(grouped, queries, tgm, d)))
+      val (brute, bruteMs) = Harness.timeMs(answer(SparkSearch.bruteForceRange(data, queries, d)))
+      require(les3 == brute,
+        s"distributed range mismatch at delta=$d: les3=${les3.length} rows, brute=${brute.length} rows")
+      Seq(Row("LES3-spark", "range", d, les3Ms, les3.length),
+          Row("Brute-spark", "range", d, bruteMs, brute.length))
     }
 
     val knnQueries = queryArr.take(50)

@@ -15,14 +15,14 @@ trait IOModel extends Serializable {
   def randomAccess(bytes: Long): Double
   /** One sequential scan of `bytes` (single positioning + transfer). */
   def sequentialScan(bytes: Long): Double
-  /** Modeled on-disk payload of one stored set of `tokens` tokens. Models
-    * with a `dataByteScale` > 1 inflate this (and only this — index
-    * structures are never scaled), so a laptop-sized database can exercise
+  /** Modeled on-disk payload of `sets` stored sets holding `tokens` tokens
+    * in all. Models with a `dataByteScale` > 1 inflate this (and only this —
+    * index structures are never scaled), so a laptop-sized database can exercise
     * the paper's transfer-dominated regime: whether LES³'s contiguous
     * group reads beat a sequential scan depends on data volume relative
     * to seek cost, and the paper's datasets are in the tens of GBs.
     */
-  def dataBytes(tokens: Int): Long = IOModel.setBytes(tokens)
+  def dataBytes(tokens: Long, sets: Long): Long = IOModel.setBytes(tokens, sets)
   /** Modeled footprint of `raw` bytes of *per-set-proportional* index
     * payload (posting lists, R-tree leaf entries). These grow linearly in
     * |D|, so a model that scales the data volume to the paper's regime
@@ -53,11 +53,13 @@ object IOModel {
     private val msPerByte = 1000.0 / (mbPerSec * 1024 * 1024)
     def randomAccess(bytes: Long): Double = seekMs + rotationalMs + bytes * msPerByte
     def sequentialScan(bytes: Long): Double = seekMs + rotationalMs + bytes * msPerByte
-    override def dataBytes(tokens: Int): Long =
-      (IOModel.setBytes(tokens) * dataByteScale).toLong
+    override def dataBytes(tokens: Long, sets: Long): Long =
+      (IOModel.setBytes(tokens, sets) * dataByteScale).toLong
     override def indexBytes(raw: Long): Long = (raw * dataByteScale).toLong
   }
 
-  /** Raw footprint of one set: 4 bytes per token + an 8-byte header. */
-  def setBytes(tokens: Int): Long = 4L * tokens + 8L
+  /** Raw footprint of `sets` sets holding `tokens` tokens in all: 4 bytes
+    * per token + an 8-byte header per set.
+    */
+  def setBytes(tokens: Long, sets: Long): Long = 4L * tokens + 8L * sets
 }

@@ -40,7 +40,7 @@ class BaselinesSpec extends AnyFunSuite {
   test("BruteForce disk model charges one sequential scan") {
     val db = randomDb(50, 30, 5, 4)
     val bf = new BruteForce(db, io = IOModel.Hdd())
-    val totalBytes = db.map(s => IOModel.setBytes(s.length)).sum
+    val totalBytes = db.map(s => IOModel.setBytes(s.length, 1)).sum
     val expected = IOModel.Hdd().sequentialScan(totalBytes)
     assert(math.abs(bf.range(db(0), 0.5).stats.ioMs - expected) < 1e-9)
   }

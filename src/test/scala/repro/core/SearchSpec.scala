@@ -123,6 +123,19 @@ class SearchSpec extends AnyFunSuite {
     assert(s.ioMs >= s.groupsRead * 11.0) // ≥ seek+rotational per group
   }
 
+  test("HDD IO model charges a group read as its members' scaled payloads") {
+    val db = randomDb(300, 40, 12, 13)
+    val hdd = IOModel.Hdd(dataByteScale = 1000)
+    val index = new Les3Index(db, Grouping.random(db.length, 7, 14), io = hdd)
+    for (q <- Seq(db(0), db(1), Array(3, 9, 27)); delta <- Seq(0.05, 0.3, 0.8)) {
+      val ubs = index.tgm.ubs(q)
+      var expected = 0.0
+      for (g <- 0 until index.tgm.nGroups if ubs(g) >= delta && index.members(g).nonEmpty)
+        expected += hdd.randomAccess(index.members(g).map(sid => hdd.dataBytes(db(sid).length, 1)).sum)
+      assert(index.range(q, delta).stats.ioMs == expected, s"q = ${q.mkString(",")}, δ = $delta")
+    }
+  }
+
   test("insert: joins the group with the highest UB (Sec 6)") {
     // G0 holds token 1..2 sets, G1 holds token 10..11 sets.
     val db: Array[Array[Int]] = Array(Array(1, 2), Array(1), Array(10, 11), Array(10))

@@ -1,8 +1,11 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.{Oracle, SparkSpec}
 import repro.baselines.{BruteForce, DualTrans, InvIdx}
 import repro.data.SetGen
@@ -264,21 +267,57 @@ class SparkSearchSpec extends SparkSpec {
     assert(persisted() -- before == stores)
   }
 
-  test("a TGM of another measure or group count replaces the stores of a grouped") {
+  test("one stores RDD serves Jaccard and Cosine TGMs of n + 1 and n groups") {
     val grouped = freshGrouped()
     val n = l2p.model.nGroups
     val before = persisted()
     var seen = Set.empty[Int]
-    // n + 1 groups before n: stores kept from n + 1 would have a group the TGM lacks
+    // n + 1 groups before n: stores sized by a TGM would have a group the second lacks
     for ((measure, groups) <- Seq((SetOps.Jaccard, n + 1), (SetOps.Cosine, n + 1), (SetOps.Cosine, n),
                                   (SetOps.Jaccard, n))) {
       val tgm = SparkSearch.buildTGM(grouped, groups, measure)
       assertExact(grouped, tgm, someQueries(11, 5), 0.5, 10)
-      val stores = persisted() -- before
-      assert(stores.size == 1, s"${measure.name}, $groups groups: stores RDDs $stores")
-      assert(!seen.contains(stores.head), s"${measure.name}, $groups groups: stores not rebuilt")
-      seen += stores.head
+      seen ++= persisted() -- before
+      assert(seen.size == 1, s"${measure.name}, $groups groups: stores RDDs $seen")
     }
+  }
+
+  test("a range answer is materialised: a second collect runs no job") {
+    import spark.implicits._
+    val sc = spark.sparkContext
+    val tgm = SparkSearch.buildTGM(groupedDF, l2p.model.nGroups)
+    val queries = someQueries(12, 5).toSeq.toDF("qid", "tokens")
+    val range = SparkSearch.rangeSearch(groupedDF, queries, tgm, 0.5)
+    val first = range.collect().toSeq
+    assert(first.nonEmpty)
+    try {
+      sc.setJobGroup("range-reread", "second collect of a range answer")
+      assert(range.collect().toSeq == first)
+      // Status events arrive in order, so once the sentinel job is seen,
+      // any job the second collect started is seen too.
+      sc.setJobGroup("range-sentinel", "a job after the second collect")
+      sc.parallelize(Seq(1), 1).count()
+    } finally sc.clearJobGroup()
+    eventually(timeout(Span(30, Seconds))) {
+      assert(sc.statusTracker.getJobIdsForGroup("range-sentinel").nonEmpty)
+    }
+    assert(sc.statusTracker.getJobIdsForGroup("range-reread").isEmpty)
+  }
+
+  test("a TGM short of some row's gid fails with IllegalArgumentException") {
+    import spark.implicits._
+    val grouped = freshGrouped()
+    val maxGid = groupedDF.agg(max("gid")).head().getInt(0)
+    val small = new TGM(maxGid)
+    val queries = someQueries(13, 3)
+    for (search <- Seq[() => Any](
+           () => SparkSearch.rangeSearch(grouped, queries.toSeq.toDF("qid", "tokens"), small, 0.5),
+           () => SparkSearch.knnSearch(grouped, queries, small, 5))) {
+      val e = intercept[SparkException](search())
+      assert(e.getCause.isInstanceOf[IllegalArgumentException], e.getCause)
+    }
+    // The stores stay usable for a TGM that covers every gid.
+    assertExact(grouped, SparkSearch.buildTGM(groupedDF, l2p.model.nGroups), queries, 0.5, 5)
   }
 
   test("two driver threads searching a fresh grouped at once both get exact answers") {

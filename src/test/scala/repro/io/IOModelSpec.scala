@@ -33,7 +33,8 @@ class IOModelSpec extends AnyFunSuite {
   }
 
   test("setBytes counts 4 bytes per token plus header") {
-    assert(IOModel.setBytes(0) == 8)
-    assert(IOModel.setBytes(10) == 48)
+    assert(IOModel.setBytes(0, 1) == 8)
+    assert(IOModel.setBytes(10, 1) == 48)
+    assert(IOModel.setBytes(10, 3) == 64)
   }
 }
