@@ -11,19 +11,37 @@ package repro.core
   * carry spare capacity, so a §6 insert shifts the tail of the block
   * instead of rebuilding it; `sids` is replaced, never written, so a
   * reader may hold it as an immutable snapshot.
+  *
+  * A member's overlap with Q is read against Q's token bitmap
+  * ([[overlap]]), which must cover [[topToken]], the largest token of any
+  * member.
   */
 private[core] final class GroupBlock private (var sids: Array[Int], private var offsets: Array[Int],
-                                              private var tokens: Array[Int]) {
+                                              private var tokens: Array[Int], private var top: Int) {
 
   def n: Int = sids.length
   def size(i: Int): Int = offsets(i + 1) - offsets(i)
   /** The tokens of all members together. */
   def nTokens: Int = offsets(n)
+  /** The largest token of any member, -1 for none. */
+  def topToken: Int = top
 
-  /** Similarity of member `i` to `q`, bit-identical to `measure.sim`. */
-  def sim(i: Int, q: Array[Int], measure: SetOps.Measure): Double =
-    measure.simFromOverlap(SetOps.intersectSize(q, tokens, offsets(i), offsets(i + 1)),
-                           q.length, size(i))
+  /** |Q ∩ member `i`|, `bits` being Q's token bitmap (bit t of word
+    * t >>> 6 set iff t ∈ Q) over at least [[topToken]] + 1 tokens: one bit
+    * test per member token, the integer a merge with Q would count.
+    */
+  def overlap(i: Int, bits: Array[Long]): Int = {
+    val ts = tokens
+    var c = 0
+    var j = offsets(i)
+    val end = offsets(i + 1)
+    while (j < end) {
+      val t = ts(j)
+      c += ((bits(t >>> 6) >>> t) & 1L).toInt
+      j += 1
+    }
+    c
+  }
 
   /** The first member whose size is at least |Q| or has a size bound of at
     * least `lo`; every member before it is smaller and has a lower bound.
@@ -54,6 +72,7 @@ private[core] final class GroupBlock private (var sids: Array[Int], private var 
     val at = offsets(p)
     System.arraycopy(tokens, at, tokens, at + s, end - at)
     System.arraycopy(set, 0, tokens, at, s)
+    top = math.max(top, GroupBlock.maxToken(set))
     var i = n + 1
     while (i > p) { offsets(i) = offsets(i - 1) + s; i -= 1 }
     val next = new Array[Int](n + 1)
@@ -82,6 +101,14 @@ private[core] object GroupBlock {
       System.arraycopy(sets(order(i)), 0, tokens, offsets(i), offsets(i + 1) - offsets(i))
       i += 1
     }
-    new GroupBlock(order.map(i => ids(i)), offsets, tokens)
+    new GroupBlock(order.map(i => ids(i)), offsets, tokens, maxToken(tokens))
+  }
+
+  /** The largest of `tokens`, -1 for none. */
+  private def maxToken(tokens: Array[Int]): Int = {
+    var top = -1
+    var i = 0
+    while (i < tokens.length) { top = math.max(top, tokens(i)); i += 1 }
+    top
   }
 }

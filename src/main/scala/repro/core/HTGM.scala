@@ -42,17 +42,19 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
     ubProbes += roots.length.toLong * q.length
     var g = 0
     while (g < roots.length) { pq.enqueue(Entry(0, g, roots(g))); g += 1 }
-    var done = false
-    while (pq.nonEmpty && !done) {
-      val e = pq.dequeue()
-      if (top.full && e.ub <= top.min) done = true
-      else if (e.level < lastLevel) {
-        val tgmNext = levelTgms(e.level + 1)
-        for (child <- children(e.level)(e.g)) {
-          ubProbes += q.length
-          pq.enqueue(Entry(e.level + 1, child, tgmNext.ub(q, child)))
-        }
-      } else reads = fine.store.verifyKnn(q, Array(e.g), Array(e.ub), fine.tgm.measure, top, reads)
+    fine.store.query(q) { v =>
+      var done = false
+      while (pq.nonEmpty && !done) {
+        val e = pq.dequeue()
+        if (top.full && e.ub <= top.min) done = true
+        else if (e.level < lastLevel) {
+          val tgmNext = levelTgms(e.level + 1)
+          for (child <- children(e.level)(e.g)) {
+            ubProbes += q.length
+            pq.enqueue(Entry(e.level + 1, child, tgmNext.ub(q, child)))
+          }
+        } else reads = v.knn(Array(e.g), Array(e.ub), fine.tgm.measure, top, reads)
+      }
     }
     SearchResult(top.hits, reads.copy(ubProbes = ubProbes))
   }
@@ -73,8 +75,8 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
       ubs = frontier.map(tgm.ub(q, _))
     }
     val hits = ArrayBuffer.empty[Hit]
-    val stats = fine.store.verifyRange(q, frontier, ubs, fine.tgm.measure, delta, hits,
-                                       SearchStats(0, ubProbes, 0, 0.0))
+    val stats = fine.store.query(q)(_.range(frontier, ubs, fine.tgm.measure, delta, hits,
+                                            SearchStats(0, ubProbes, 0, 0.0)))
     SearchResult(hits, stats)
   }
 }

@@ -107,18 +107,18 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
     SetOps.requireCanonical(q, "range")
     SetOps.requireDelta(delta, "range")
     val hits = ArrayBuffer.empty[Hit]
-    val stats = store.searchRange(q, tgm, delta, hits)
+    val stats = store.searchRange(q, tgm.ubs(q), tgm.measure, delta, hits)
     SearchResult(hits, stats)
   }
 
   /** kNN search (Definition 2.1): visit groups in descending-UB order,
     * stopping once the next group's bound cannot beat the kth-best
-    * similarity found so far ([[GroupStore.verifyKnn]]).
+    * similarity found so far ([[GroupStore#Query.knn]]).
     */
   def knn(q: Array[Int], k: Int): SearchResult = {
     SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
-    val stats = store.searchKnn(q, tgm, top)
+    val stats = store.searchKnn(q, tgm.ubs(q), tgm.measure, top)
     SearchResult(top.hits, stats)
   }
 

@@ -6,7 +6,9 @@ package repro.core
   * Every similarity in the paper (§2, §3.2) reduces to the intersection
   * size of two such arrays, so this module keeps the merge-based
   * intersection in one place and derives Jaccard / Dice / Cosine /
-  * overlap from it.
+  * overlap from it. The verification core counts the same intersection
+  * against a query bitmap instead ([[GroupBlock.overlap]]) and applies
+  * [[Measure.simFromOverlap]] to it.
   */
 object SetOps {
 
@@ -36,14 +38,9 @@ object SetOps {
       throw new IllegalArgumentException(s"$what needs 0 < delta <= 1, got $delta")
 
   /** |a ∩ b| by linear merge; both inputs must be sorted-distinct. */
-  def intersectSize(a: Array[Int], b: Array[Int]): Int = intersectSize(a, b, 0, b.length)
-
-  /** |a ∩ b[from, until)| by linear merge — `b` may be one set stored
-    * inside a larger token array; both runs must be sorted-distinct.
-    */
-  def intersectSize(a: Array[Int], b: Array[Int], from: Int, until: Int): Int = {
-    var i = 0; var j = from; var c = 0
-    while (i < a.length && j < until) {
+  def intersectSize(a: Array[Int], b: Array[Int]): Int = {
+    var i = 0; var j = 0; var c = 0
+    while (i < a.length && j < b.length) {
       val x = a(i); val y = b(j)
       if (x == y) { c += 1; i += 1; j += 1 }
       else if (x < y) i += 1

@@ -11,8 +11,9 @@ import scala.collection.mutable
 
 /** The distributed LES³ path (per the reproduction directive): the TGM and
   * the learned partitioning expressed as DataFrame operations, with the
-  * trained L2P cascade and the TGM broadcast to executors, and search run
-  * per partition by the shared verification core ([[GroupStore]]).
+  * trained L2P cascade broadcast to executors, and search run per
+  * partition by the shared verification core ([[GroupStore]]) under group
+  * bounds taken once per query on the driver.
   *
   * Data layout: `data` is `(sid: Long, tokens: Array[Int])` with tokens
   * sorted-distinct; `grouped` adds `gid: Int`.
@@ -20,8 +21,9 @@ import scala.collection.mutable
   * A `grouped` object is read once, at its first search: each partition's
   * rows become a persisted [[GroupStore]] that every later search of that
   * object reuses, under any TGM that covers its gids, until the object is
-  * unreachable. The stores hold no measure: the TGM owns it, and is
-  * broadcast per call, so a TGM written since the last call is honoured.
+  * unreachable. The stores hold no measure: the TGM owns it, and each
+  * call broadcasts its measure and its bounds for the batch, so a TGM
+  * written since the last call is honoured.
   * Range and kNN share one driver path: each call runs one job over the
   * stores, collects it and destroys its broadcast before it returns.
   */
@@ -81,24 +83,29 @@ object SparkSearch {
   }
 
   /** The one driver path of both searches. Checks the queries
-    * ([[SetOps.requireCanonical]]), broadcasts `(tgm, queries)`, runs
-    * `search` for every query in one RDD job over the stores of `grouped`,
-    * collects the hits as `(qid, sid, sim)` rows and destroys the
-    * broadcast; an empty batch runs no job. A group's bound covers its
+    * ([[SetOps.requireCanonical]]), takes each query's group bounds
+    * ([[TGM.ubs]]) once on the driver, broadcasts `(measure, queries,
+    * bounds)`, runs `search` for every query in one RDD job over the stores
+    * of `grouped`, collects the hits as `(qid, sid, sim)` rows and destroys
+    * the broadcast; an empty batch runs no job. A group's bound covers its
     * members in every partition, so each partition's answer is exact over
     * its rows. A TGM with fewer groups than some row's gid fails the job
     * with an `IllegalArgumentException`.
     */
   private def collectHits(grouped: DataFrame, queries: Array[(Long, Array[Int])], tgm: TGM, caller: String)(
-      search: (GroupStore, Array[Int], TGM) => Iterable[Hit]): Array[(Long, Long, Double)] = {
+      search: (GroupStore, Array[Int], Array[Double], SetOps.Measure) => Iterable[Hit]): Array[(Long, Long, Double)] = {
     queries.foreach { case (_, q) => SetOps.requireCanonical(q, caller) }
     if (queries.isEmpty) Array.empty
     else {
-      val batch = grouped.sparkSession.sparkContext.broadcast((tgm, queries))
+      val bounds = queries.map { case (_, q) => tgm.ubs(q) }
+      val batch = grouped.sparkSession.sparkContext.broadcast((tgm.measure, queries, bounds))
       try stores(grouped).mapPartitions { parts =>
-        val (t, qs) = batch.value
+        val (measure, qs, ubs) = batch.value
         parts.flatMap { case (sids, store) =>
-          qs.iterator.flatMap { case (qid, q) => search(store, q, t).map(h => (qid, sids(h.sid), h.sim)) }
+          qs.indices.iterator.flatMap { j =>
+            val (qid, q) = qs(j)
+            search(store, q, ubs(j), measure).map(h => (qid, sids(h.sid), h.sim))
+          }
         }
       }.collect()
       finally batch.destroy()
@@ -116,9 +123,9 @@ object SparkSearch {
     import grouped.sparkSession.implicits._
     SetOps.requireDelta(delta, "rangeSearch")
     val qs = queries.select(col("qid"), col("tokens")).as[(Long, Array[Int])].collect()
-    collectHits(grouped, qs, tgm, "rangeSearch") { (store, q, t) =>
+    collectHits(grouped, qs, tgm, "rangeSearch") { (store, q, ubs, measure) =>
       val hits = mutable.ArrayBuffer.empty[Hit]
-      store.searchRange(q, t, delta, hits)
+      store.searchRange(q, ubs, measure, delta, hits)
       hits
     }.toSeq.toDF("qid", "sid", "sim")
   }
@@ -139,9 +146,9 @@ object SparkSearch {
                 k: Int): Map[Long, Array[Hit]] = {
     require(k >= 1, s"kNN needs k >= 1, got k = $k")
     require(queries.map(_._1).distinct.length == queries.length, "knnSearch needs distinct qids")
-    val local = collectHits(grouped, queries, tgm, "knnSearch") { (store, q, t) =>
+    val local = collectHits(grouped, queries, tgm, "knnSearch") { (store, q, ubs, measure) =>
       val top = new TopK(k)
-      store.searchKnn(q, t, top)
+      store.searchKnn(q, ubs, measure, top)
       top.hits
     }
     val tops = queries.map { case (qid, _) => qid -> new TopK(k) }.toMap

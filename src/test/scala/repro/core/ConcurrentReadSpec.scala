@@ -7,9 +7,9 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, 
 import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
 import scala.util.Random
 
-/** The read contract: concurrent queries against one index, and against one
-  * deserialized TGM (as Spark tasks share a broadcast), answer exactly as
-  * brute force.
+/** The read contract: concurrent queries against one index or HTGM, each
+  * thread verifying against its own query bitmap, and against one
+  * deserialized TGM, answer exactly as brute force.
   */
 class ConcurrentReadSpec extends AnyFunSuite {
 
@@ -65,6 +65,18 @@ class ConcurrentReadSpec extends AnyFunSuite {
     assert(wrong == 0)
   }
 
+  test("concurrent range and kNN queries on one shared HTGM equal brute force") {
+    // The coarse level merges 7 fine groups, so every fine group nests.
+    val coarse = new Grouping(Array.tabulate(db.length)(sid => grouping.assignment(sid) / 7),
+                              (grouping.nGroups + 6) / 7)
+    val wrong = concurrently(() => HTGM.build(db, Seq(coarse, grouping))) { (htgm, i) =>
+      val q = queries(i)
+      Deltas.indices.forall(j => htgm.range(q, Deltas(j)).hits.toSet == expectedRange(i)(j)) &&
+        htgm.knn(q, K).hits.map(_.sim).sorted == expectedKnn(i)
+    }
+    assert(wrong == 0)
+  }
+
   test("concurrent UB passes on one deserialized TGM prune exactly") {
     val bos = new ByteArrayOutputStream()
     val oos = new ObjectOutputStream(bos)
@@ -73,8 +85,8 @@ class ConcurrentReadSpec extends AnyFunSuite {
     def deserialized() = new ObjectInputStream(new ByteArrayInputStream(bos.toByteArray))
       .readObject().asInstanceOf[TGM]
     val members = grouping.members
-    // Range search as the Spark path runs it: prune on the broadcast TGM's
-    // bounds, then verify the members of the groups that survive.
+    // Range search: prune on the deserialized TGM's bounds, then verify the
+    // members of the groups that survive.
     val wrong = concurrently(() => deserialized()) { (tgm, i) =>
       val q = queries(i)
       val ubs = tgm.ubs(q)
