@@ -48,10 +48,13 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
   }
 
   private val vectors: Array[Array[Int]] = db.iterator.map(vec).toArray
-  val tree: RTree = RTree.bulkLoad(vectors, fanout)
+  /** The R-tree over the vectors; none for an empty database, whose every
+    * answer is empty.
+    */
+  private val tree: Option[RTree] = Option.when(vectors.nonEmpty)(RTree.bulkLoad(vectors, fanout))
 
   /** Index footprint (R-tree MBRs + the stored vectors). */
-  def sizeBytes: Long = tree.sizeBytes + 4L * d * db.length
+  def sizeBytes: Long = tree.fold(0L)(_.sizeBytes) + 4L * d * db.length
 
   private def nodeBytes(n: RTree.Node): Long = n match {
     case RTree.Leaf(ids, _, _) => ids.length * (2L * d * 4 + 8)
@@ -80,14 +83,14 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
     var candidates = 0L
     var nodes = 0L
     var ioMs = 0.0
-    tree.rangeSearch(jaccardUb(q, qVec, _), delta,
+    tree.foreach(_.rangeSearch(jaccardUb(q, qVec, _), delta,
       onNode = { n => nodes += 1; ioMs += io.randomAccess(io.indexBytes(nodeBytes(n))) },
       onLeafId = { sid =>
         ioMs += io.randomAccess(io.dataBytes(db(sid).length, 1))
         val sim = SetOps.jaccard(q, db(sid))
         candidates += 1
         if (sim >= delta) hits += Hit(sid, sim)
-      })
+      }))
     SearchResult(hits, SearchStats(candidates, nodes, 0, ioMs))
   }
 
@@ -98,15 +101,15 @@ final class DualTrans(db: collection.IndexedSeq[Array[Int]], val d: Int = 16,
     var candidates = 0L
     var nodes = 0L
     var ioMs = 0.0
-    tree.bestFirst(
+    tree.foreach(_.bestFirst(
       jaccardUb(q, qVec, _),
-      continueWith = bound => !top.full || bound > top.min,
+      continueWith = _ >= top.bar,
       onNode = { n => nodes += 1; ioMs += io.randomAccess(io.indexBytes(nodeBytes(n))) },
       onLeafId = { sid =>
         ioMs += io.randomAccess(io.dataBytes(db(sid).length, 1))
         candidates += 1
         top.offer(sid, SetOps.jaccard(q, db(sid)))
-      })
+      }))
     SearchResult(top.hits, SearchStats(candidates, nodes, 0, ioMs))
   }
 }

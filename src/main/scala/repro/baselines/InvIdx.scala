@@ -128,12 +128,14 @@ final class InvIdx(db: collection.IndexedSeq[Array[Int]], io: IOModel = IOModel.
 
   def knn(q: Array[Int], k: Int): SearchResult = knn(q, k, z = 0.05)
 
-  /** kNN via δ-decreasing filtering with step `z` (§7.6). The paper's
+  /** kNN via δ-decreasing filtering with step `z` (§7.6), which must be
+    * > 0 (else `IllegalArgumentException`: δ would never fall). The paper's
     * critique of InvIdx kNN: the filtering pass is repeated for every δ
     * round, re-reading the prefix postings each time — so each round's
     * list scan is charged.
     */
   def knn(q: Array[Int], k: Int, z: Double): SearchResult = {
+    require(z > 0, s"InvIdx kNN needs a step z > 0, got z = $z")
     SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
     val scan = new Scan(q)

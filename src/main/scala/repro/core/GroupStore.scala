@@ -1,10 +1,10 @@
 package repro.core
 
 import repro.io.IOModel
-import scala.collection.mutable.ArrayBuffer
 
 /** The groups of one engine, each stored as a [[GroupBlock]], and the
-  * filter-and-verify loops of §3.1 over them: the one verification core.
+  * filter-and-verify step of §3.1 over them: the one verification core,
+  * whose one group read ([[Query.visit]]) serves range and kNN alike.
   * [[Les3Index]] runs it over its database, [[HTGM]] over the fine groups
   * that survive its hierarchy, and [[SparkSearch]] over each partition's
   * rows. The store of `sets` partitioned by `grouping` holds one block per
@@ -27,25 +27,39 @@ private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], gr
     require(ubs.length >= blocks.length, s"${ubs.length} group bounds cannot bound ${blocks.length} blocks")
 
   /** Range search (Definition 2.2) over every group, `ubs(g)` being group
-    * g's bound ([[TGM.ubs]]): verify under `measure` exactly the groups
-    * whose bound reaches δ.
+    * g's bound ([[TGM.ubs]]): visits, in id order, exactly the groups whose
+    * bound reaches δ, verifying under `measure` into `hits`.
     */
-  def searchRange(q: Array[Int], ubs: Array[Double], measure: SetOps.Measure, delta: Double,
-                  hits: ArrayBuffer[Hit]): SearchStats = {
+  def searchRange(q: Array[Int], ubs: Array[Double], measure: SetOps.Measure, hits: Within): SearchStats = {
     requireBounds(ubs)
-    query(q)(_.range(Array.range(0, blocks.length), ubs, measure, delta, hits, SearchStats(0, 0, 0, 0.0)))
+    val delta = hits.bar
+    query(q) { v =>
+      var g = 0
+      while (g < blocks.length) {
+        if (ubs(g) >= delta) v.visit(g, measure, hits)
+        g += 1
+      }
+      v.stats(blocks.length.toLong * q.length)
+    }
   }
 
   /** kNN search (Definition 2.1) over every group, `ubs(g)` being group
-    * g's bound: visit groups in descending-bound order ([[Query.knn]]).
+    * g's bound: visits groups in descending-bound order and stops at the
+    * first whose bound is below `top`'s bar. Exact: any unvisited set has
+    * sim ≤ UB(group) ≤ kth-best, and a set tying the kth-best is
+    * interchangeable with it under Definition 2.1.
     */
   def searchKnn(q: Array[Int], ubs: Array[Double], measure: SetOps.Measure, top: TopK): SearchStats = {
     requireBounds(ubs)
     val order = GroupStore.descending(ubs, blocks.length)
-    val orderedUbs = new Array[Double](order.length)
-    var j = 0
-    while (j < order.length) { orderedUbs(j) = ubs(order(j)); j += 1 }
-    query(q)(_.knn(order, orderedUbs, measure, top, SearchStats(0, blocks.length.toLong * q.length, 0, 0.0)))
+    query(q) { v =>
+      var j = 0
+      while (j < order.length && ubs(order(j)) >= top.bar) {
+        v.visit(order(j), measure, top)
+        j += 1
+      }
+      v.stats(blocks.length.toLong * q.length)
+    }
   }
 
   /** Runs `body` on `q` (canonical) marked as a [[Query]] in this
@@ -69,6 +83,10 @@ private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], gr
     private var bits = GroupStore.scratch.get()
     // q(0 until marked) are marked: the tokens below the scratch's cover.
     private var marked = 0
+    private var candidates = 0L
+    private var verified = 0L
+    private var groupsRead = 0
+    private var ioMs = 0.0
 
     /** Grows the scratch to cover `b`'s tokens and marks the query tokens
       * it newly covers.
@@ -101,87 +119,37 @@ private[core] final class GroupStore(sets: collection.IndexedSeq[Array[Int]], gr
       b.overlap(i, bits)
     }
 
-    /** Reads the non-empty groups of `gs` whose bound reaches δ, `ubs(j)`
-      * being the bound of `gs(j)`: their members are candidates, those
-      * whose size bound reaches δ are verified under `measure`, and those
-      * with sim ≥ δ join `hits`. Returns `s` plus the probes and reads.
+    /** Reads group `g`, unless it is empty: its members are candidates,
+      * and each whose size bound reaches `sink`'s bar is verified under
+      * `measure` and offered to `sink`. The bar is read again after every
+      * offer; the sizes that reach it start at [[GroupBlock.firstFit]], and
+      * the first failing member larger than Q ends them. The caller tests
+      * the group's own bound against the bar.
       */
-    def range(gs: Array[Int], ubs: Array[Double], measure: SetOps.Measure, delta: Double,
-              hits: ArrayBuffer[Hit], s: SearchStats): SearchStats = {
-      var candidates = 0L
-      var verified = 0L
-      var groupsRead = 0
-      var ioMs = 0.0
-      var j = 0
-      while (j < gs.length) {
-        val b = blocks(gs(j))
-        if (ubs(j) >= delta && b.n > 0) {
-          cover(b)
-          groupsRead += 1
-          ioMs += io.randomAccess(io.dataBytes(b.nTokens, b.n))
-          candidates += b.n
-          // The qualifying sizes are one run: it ends at the first failing
-          // member past firstFit, which is larger than Q.
-          var i = b.firstFit(measure, q.length, delta)
-          while (i < b.n && measure.sizeUb(q.length, b.size(i)) >= delta) {
-            val sim = measure.simFromOverlap(b.overlap(i, bits), q.length, b.size(i))
+    def visit(g: Int, measure: SetOps.Measure, sink: Sink): Unit = {
+      val b = blocks(g)
+      if (b.n > 0) {
+        cover(b)
+        groupsRead += 1
+        ioMs += io.randomAccess(io.dataBytes(b.nTokens, b.n))
+        candidates += b.n
+        var bar = sink.bar
+        var i = b.firstFit(measure, q.length, bar)
+        var more = true
+        while (i < b.n && more) {
+          val r = b.size(i)
+          if (measure.sizeUb(q.length, r) >= bar) {
             verified += 1
-            if (sim >= delta) hits += Hit(b.sids(i), sim)
-            i += 1
-          }
+            sink.offer(b.sids(i), measure.simFromOverlap(b.overlap(i, bits), q.length, r))
+            bar = sink.bar
+          } else more = r < q.length
+          i += 1
         }
-        j += 1
       }
-      SearchStats(s.candidates + candidates, s.ubProbes + gs.length.toLong * q.length,
-                  s.groupsRead + groupsRead, s.ioMs + ioMs, s.verified + verified)
     }
 
-    /** Visits the groups `gs` in order for a kNN query, `ubs(j)` being the
-      * bound of `gs(j)`: stops at the first bound that cannot beat the
-      * kth-best similarity, and reads the other non-empty groups, offering
-      * to `top` every member whose size bound beats the kth-best, verified
-      * under `measure`. Exact: any unvisited set has sim ≤ UB(group) ≤
-      * kth-best — a set tying the kth-best is interchangeable with it under
-      * Definition 2.1, so the cut uses ≤. Returns `s` plus the reads.
-      */
-    def knn(gs: Array[Int], ubs: Array[Double], measure: SetOps.Measure, top: TopK,
-            s: SearchStats): SearchStats = {
-      var candidates = 0L
-      var verified = 0L
-      var groupsRead = 0
-      var ioMs = 0.0
-      var j = 0
-      var done = false
-      while (j < gs.length && !done) {
-        val b = blocks(gs(j))
-        if (top.full && ubs(j) <= top.min) done = true
-        else if (b.n > 0) {
-          cover(b)
-          groupsRead += 1
-          ioMs += io.randomAccess(io.dataBytes(b.nTokens, b.n))
-          candidates += b.n
-          // A member can enter `top` only if its size bound beats the
-          // kth-best: sizeUb > min ⇔ sizeUb ≥ nextUp(min). The bar rises as
-          // `top` fills, so smaller members may fail after firstFit, but the
-          // first failing member larger than Q ends the run.
-          var lo = if (top.full) Math.nextUp(top.min) else Double.NegativeInfinity
-          var i = b.firstFit(measure, q.length, lo)
-          var more = true
-          while (i < b.n && more) {
-            val r = b.size(i)
-            if (measure.sizeUb(q.length, r) >= lo) {
-              verified += 1
-              top.offer(b.sids(i), measure.simFromOverlap(b.overlap(i, bits), q.length, r))
-              if (top.full) lo = Math.nextUp(top.min)
-            } else more = r < q.length
-            i += 1
-          }
-        }
-        j += 1
-      }
-      SearchStats(s.candidates + candidates, s.ubProbes, s.groupsRead + groupsRead, s.ioMs + ioMs,
-                  s.verified + verified)
-    }
+    /** The reads of this query so far, with `ubProbes` bound probes. */
+    def stats(ubProbes: Long): SearchStats = SearchStats(candidates, ubProbes, groupsRead, ioMs, verified)
   }
 }
 

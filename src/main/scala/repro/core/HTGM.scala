@@ -33,51 +33,45 @@ final class HTGM private (val levelTgms: IndexedSeq[TGM],
   def knn(q: Array[Int], k: Int): SearchResult = {
     SetOps.requireCanonical(q, "knn")
     val top = new TopK(k)
-    // Entries are (level, group, ub); fine-level entries get verified.
+    val stats = search(q, top)
+    SearchResult(top.hits, stats)
+  }
+
+  /** Range search with hierarchical pruning; hits come in best-first order. */
+  def range(q: Array[Int], delta: Double): SearchResult = {
+    SetOps.requireCanonical(q, "range")
+    SetOps.requireDelta(delta, "range")
+    val hits = new Within(delta)
+    val stats = search(q, hits)
+    SearchResult(hits.hits, stats)
+  }
+
+  /** The one walk of both searches: pops the highest-bound (level, group)
+    * while its bound reaches `sink`'s bar. A coarse group's children are
+    * probed ([[TGM.ub]]) and queued; a fine group is read by `fine`'s
+    * store ([[GroupStore#Query.visit]]). Under range's fixed bar this
+    * expands and reads exactly the groups a level-by-level walk would.
+    */
+  private def search(q: Array[Int], sink: Sink): SearchStats = {
     final case class Entry(level: Int, g: Int, ub: Double)
-    val pq = mutable.PriorityQueue.empty[Entry](Ordering.by(_.ub))
-    var ubProbes = 0L
-    var reads = SearchStats(0, 0, 0, 0.0)
+    val pq = mutable.PriorityQueue.empty[Entry]((a, b) => java.lang.Double.compare(a.ub, b.ub))
     val roots = levelTgms(0).ubs(q)
-    ubProbes += roots.length.toLong * q.length
+    var ubProbes = roots.length.toLong * q.length
     var g = 0
     while (g < roots.length) { pq.enqueue(Entry(0, g, roots(g))); g += 1 }
     fine.store.query(q) { v =>
-      var done = false
-      while (pq.nonEmpty && !done) {
+      while (pq.nonEmpty && pq.head.ub >= sink.bar) {
         val e = pq.dequeue()
-        if (top.full && e.ub <= top.min) done = true
-        else if (e.level < lastLevel) {
+        if (e.level < lastLevel) {
           val tgmNext = levelTgms(e.level + 1)
           for (child <- children(e.level)(e.g)) {
             ubProbes += q.length
             pq.enqueue(Entry(e.level + 1, child, tgmNext.ub(q, child)))
           }
-        } else reads = v.knn(Array(e.g), Array(e.ub), fine.tgm.measure, top, reads)
+        } else v.visit(e.g, fine.tgm.measure, sink)
       }
+      v.stats(ubProbes)
     }
-    SearchResult(top.hits, reads.copy(ubProbes = ubProbes))
-  }
-
-  /** Range search with hierarchical pruning. */
-  def range(q: Array[Int], delta: Double): SearchResult = {
-    SetOps.requireCanonical(q, "range")
-    SetOps.requireDelta(delta, "range")
-    var ubProbes = 0L
-    var frontier = Array.range(0, levelTgms(0).nGroups)
-    var ubs = levelTgms(0).ubs(q)
-    var level = 0
-    while (level < lastLevel) {
-      ubProbes += frontier.length.toLong * q.length
-      frontier = frontier.indices.filter(ubs(_) >= delta).toArray.flatMap(j => children(level)(frontier(j)))
-      level += 1
-      val tgm = levelTgms(level)
-      ubs = frontier.map(tgm.ub(q, _))
-    }
-    val hits = ArrayBuffer.empty[Hit]
-    val stats = fine.store.query(q)(_.range(frontier, ubs, fine.tgm.measure, delta, hits,
-                                            SearchStats(0, ubProbes, 0, 0.0)))
-    SearchResult(hits, stats)
   }
 }
 

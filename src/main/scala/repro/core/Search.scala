@@ -49,12 +49,35 @@ trait SimilarityIndex {
   def knn(q: Array[Int], k: Int): SearchResult
 }
 
+/** The accumulator of one search and its bar: the least similarity that can
+  * still change the answer. The filter-and-verify step of §3.1 reads a group
+  * only if its bound reaches the bar, and verifies a member only if its size
+  * bound does; range holds the bar at δ, kNN raises it as hits come in.
+  * [[Within]] and [[TopK]] are the only two, so the verify loop's calls stay
+  * bimorphic.
+  */
+sealed trait Sink {
+  def bar: Double
+  def offer(sid: Int, sim: Double): Unit
+}
+
+/** The range accumulator (Definition 2.2): keeps every offered hit with
+  * sim ≥ δ, in offer order; its bar is δ.
+  */
+final class Within(delta: Double) extends Sink {
+  val hits: ArrayBuffer[Hit] = ArrayBuffer.empty
+
+  def bar: Double = delta
+
+  def offer(sid: Int, sim: Double): Unit = if (sim >= delta) hits += Hit(sid, sim)
+}
+
 /** The k most similar hits offered so far — the kNN accumulator of every
   * engine. A hit displaces the current kth-best only if strictly more
   * similar: a set tying the kth-best is interchangeable with it under
   * Definition 2.1.
   */
-final class TopK(k: Int) {
+final class TopK(k: Int) extends Sink {
   require(k >= 1, s"kNN needs k >= 1, got k = $k")
   // Min-heap on similarity: once full, its head is the kth-best.
   private val heap = mutable.PriorityQueue.empty[Hit](Ordering.by((h: Hit) => -h.sim))
@@ -62,6 +85,9 @@ final class TopK(k: Int) {
   def full: Boolean = heap.size >= k
   /** The kth-best similarity so far; defined once [[full]]. */
   def min: Double = heap.head.sim
+
+  /** −∞ until [[full]], then the least similarity above the kth-best. */
+  def bar: Double = if (full) Math.nextUp(min) else Double.NegativeInfinity
 
   def offer(sid: Int, sim: Double): Unit =
     if (heap.size < k) heap.enqueue(Hit(sid, sim))
@@ -106,14 +132,14 @@ final class Les3Index(initialDb: collection.IndexedSeq[Array[Int]], grouping: Gr
   def range(q: Array[Int], delta: Double): SearchResult = {
     SetOps.requireCanonical(q, "range")
     SetOps.requireDelta(delta, "range")
-    val hits = ArrayBuffer.empty[Hit]
-    val stats = store.searchRange(q, tgm.ubs(q), tgm.measure, delta, hits)
-    SearchResult(hits, stats)
+    val hits = new Within(delta)
+    val stats = store.searchRange(q, tgm.ubs(q), tgm.measure, hits)
+    SearchResult(hits.hits, stats)
   }
 
   /** kNN search (Definition 2.1): visit groups in descending-UB order,
     * stopping once the next group's bound cannot beat the kth-best
-    * similarity found so far ([[GroupStore#Query.knn]]).
+    * similarity found so far ([[GroupStore.searchKnn]]).
     */
   def knn(q: Array[Int], k: Int): SearchResult = {
     SetOps.requireCanonical(q, "knn")

@@ -7,8 +7,6 @@ import org.apache.spark.storage.StorageLevel
 import repro.io.IOModel
 import repro.partition.L2P
 
-import scala.collection.mutable
-
 /** The distributed LES³ path (per the reproduction directive): the TGM and
   * the learned partitioning expressed as DataFrame operations, with the
   * trained L2P cascade broadcast to executors, and search run per
@@ -124,9 +122,9 @@ object SparkSearch {
     SetOps.requireDelta(delta, "rangeSearch")
     val qs = queries.select(col("qid"), col("tokens")).as[(Long, Array[Int])].collect()
     collectHits(grouped, qs, tgm, "rangeSearch") { (store, q, ubs, measure) =>
-      val hits = mutable.ArrayBuffer.empty[Hit]
-      store.searchRange(q, ubs, measure, delta, hits)
-      hits
+      val hits = new Within(delta)
+      store.searchRange(q, ubs, measure, hits)
+      hits.hits
     }.toSeq.toDF("qid", "sid", "sim")
   }
 

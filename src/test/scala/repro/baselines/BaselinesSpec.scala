@@ -3,13 +3,29 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.SetOps
 import repro.io.IOModel
-import scala.util.Random
+
+import java.util.concurrent.{Callable, Executors, TimeUnit}
+import scala.util.{Random, Try}
 
 class BaselinesSpec extends AnyFunSuite {
 
   private def randomDb(n: Int, nTokens: Int, maxSize: Int, seed: Long): Array[Array[Int]] = {
     val rnd = new Random(seed)
     Array.fill(n)(SetOps.canon(Seq.fill(rnd.nextInt(maxSize) + 1)(rnd.nextInt(nTokens))))
+  }
+
+  /** `body`'s value, computed on a daemon thread; the test fails if that
+    * takes over `seconds`, and a body that never returns cannot hold up the
+    * run.
+    */
+  private def withDeadline[T](seconds: Long)(body: => T): T = {
+    val pool = Executors.newSingleThreadExecutor { (r: Runnable) =>
+      val t = new Thread(r)
+      t.setDaemon(true)
+      t
+    }
+    try pool.submit(new Callable[T] { def call(): T = body }).get(seconds, TimeUnit.SECONDS)
+    finally pool.shutdownNow()
   }
 
   private def naiveRange(db: Array[Array[Int]], q: Array[Int], d: Double): Seq[(Int, Double)] =
@@ -108,6 +124,14 @@ class BaselinesSpec extends AnyFunSuite {
     val q = db(11)
     for (z <- Seq(0.01, 0.1, 0.3)) {
       assert(inv.knn(q, 8, z).hits.map(_.sim).sorted == bf.knn(q, 8).hits.map(_.sim).sorted)
+    }
+  }
+
+  test("InvIdx.knn rejects a step z that is not positive instead of looping") {
+    val inv = new InvIdx(Array(Array(1, 2), Array(2, 3), Array(5)))
+    for (z <- Seq(0.0, -0.05, Double.NaN)) {
+      val failure = withDeadline(60)(Try(inv.knn(Array(1, 2), 2, z)).failed.toOption)
+      assert(failure.exists(_.isInstanceOf[IllegalArgumentException]), s"z = $z: $failure")
     }
   }
 

@@ -6,7 +6,8 @@ import repro.baselines.{BruteForce, DualTrans, InvIdx}
 
 /** ScalaCheck property: LES³ and HTGM answer exactly as brute force under
   * every measure, also after §6 inserts, and their counters keep the
-  * meaning of Definition 2.3 while the size filter skips candidates; the
+  * meaning of Definition 2.3 while the size filter skips candidates (for
+  * HTGM's range, also the cells its hierarchy probes); the
   * static, Jaccard-only baselines InvIdx and DualTrans answer exactly as
   * brute force too.
   */
@@ -66,6 +67,27 @@ class ExactnessPropsSpec extends AnyFunSuite {
     }
   }
 
+  /** HTGM's range probes and reads what its two levels' bounds admit: the
+    * cells of every coarse group and of each child of a coarse group whose
+    * bound reaches δ; then the fine groups among those children whose own
+    * bound reaches δ are read, and their members whose size bound reaches δ
+    * verified. Children are non-empty, as HTGM links only those.
+    */
+  private def htgmRangeCounters(htgm: HTGM, c: Case, m: SetOps.Measure, q: Array[Int]): Boolean = {
+    val coarse = TGM.build(c.db, new Grouping(c.coarse, c.nCoarse), m)
+    val fine = TGM.build(c.db, new Grouping(c.fine, c.nCoarse * Splits), m)
+    val members = c.db.indices.groupBy(c.fine(_))
+    val children = Array.tabulate(c.nCoarse)(g => c.db.indices.filter(c.coarse(_) == g).map(c.fine(_)).distinct)
+    Deltas.forall { d =>
+      val open = (0 until c.nCoarse).filter(coarse.ub(q, _) >= d)
+      val read = open.flatMap(children(_)).filter(fine.ub(q, _) >= d)
+      val s = htgm.range(q, d).stats
+      s.ubProbes == q.length.toLong * (c.nCoarse + open.map(children(_).length).sum) &&
+        s.groupsRead == read.length && s.candidates == read.map(members(_).length).sum &&
+        s.verified == read.flatMap(members(_)).count(sid => m.sizeUb(q.length, c.db(sid).length) >= d)
+    }
+  }
+
   /** Every block lists its members once, in (size, sid) order. */
   private def blocksSorted(index: Les3Index): Boolean = {
     val blocks = (0 until index.tgm.nGroups).map(index.members(_).toSeq)
@@ -81,6 +103,7 @@ class ExactnessPropsSpec extends AnyFunSuite {
                                         new Grouping(c.fine, c.nCoarse * Splits)), m)
         val base = new BruteForce(c.db, m)
         agrees(htgm, base, c.queries(0)) && agrees(index, base, c.queries(0)) &&
+          htgmRangeCounters(htgm, c, m, c.queries(0)) &&
           candidatesAreGroupsRead(index, c.queries(0)) &&
           c.inserts.indices.forall { i =>
             index.insert(c.inserts(i))

@@ -62,6 +62,26 @@ class SearchSpec extends AnyFunSuite {
     assert(!few.full && few.hits.toSeq == Seq(Hit(2, 0.3), Hit(4, 0.1)))
   }
 
+  test("TopK's bar is -inf until it holds k hits, then the least value above the kth-best") {
+    val top = new TopK(2)
+    assert(top.bar == Double.NegativeInfinity)
+    top.offer(0, 0.4)
+    assert(top.bar == Double.NegativeInfinity)
+    top.offer(1, 0.7)
+    assert(top.bar == Math.nextUp(0.4))
+    top.offer(2, 0.4)
+    assert(top.bar == Math.nextUp(0.4), "a tie with the kth-best leaves the bar")
+    top.offer(3, 0.9)
+    assert(top.bar == Math.nextUp(0.7))
+  }
+
+  test("Within's bar is delta, and it keeps exactly the offers that reach delta") {
+    val within = new Within(0.5)
+    for ((sim, sid) <- Seq(0.2, 0.5, Math.nextDown(0.5), 1.0, 0.7).zipWithIndex) within.offer(sid, sim)
+    assert(within.bar == 0.5)
+    assert(within.hits.toSeq == Seq(Hit(1, 0.5), Hit(3, 1.0), Hit(4, 0.7)))
+  }
+
   test("knn with k larger than |D| returns everything") {
     val db = randomDb(10, 20, 5, 6)
     val index = new Les3Index(db, Grouping.random(db.length, 3, 2))
@@ -205,6 +225,25 @@ class SearchSpec extends AnyFunSuite {
         intercept[IllegalArgumentException](e.knn(bad, 1))
       }
     }
+  }
+
+  test("every engine answers an empty database with no hits; LES³ built empty finds its first insert") {
+    val empty = Array.empty[Array[Int]]
+    val grouping = new Grouping(Array.empty[Int], 2)
+    val dual = new DualTrans(empty)
+    val engines = Seq[(String, SimilarityIndex)](
+      "LES3" -> new Les3Index(empty, grouping),
+      "HTGM" -> HTGM.build(empty, Seq(new Grouping(Array.empty[Int], 1), grouping)),
+      "BruteForce" -> new BruteForce(empty), "InvIdx" -> new InvIdx(empty), "DualTrans" -> dual)
+    for ((name, e) <- engines; q <- Seq(Array(1, 2, 3), Array.empty[Int])) {
+      for (d <- Seq(0.5, 1.0)) assert(e.range(q, d).hits.isEmpty, s"$name range δ = $d")
+      for (k <- Seq(1, 5)) assert(e.knn(q, k).hits.isEmpty, s"$name knn k = $k")
+    }
+    assert(dual.sizeBytes == 0L)
+    val index = new Les3Index(empty, grouping)
+    assert(index.insert(Array(4, 7))._1 == 0)
+    assert(index.range(Array(4, 7), 1.0).hits.toSeq == Seq(Hit(0, 1.0)))
+    assert(index.knn(Array(4, 7), 1).hits.toSeq == Seq(Hit(0, 1.0)))
   }
 
   test("every engine but BruteForce rejects a range delta outside (0, 1]") {

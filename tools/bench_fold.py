@@ -16,6 +16,17 @@ the seeds, the failed operations and the build fingerprints seen. With two
 sides it adds, per metric, the second side's median over the first's and
 how many seeds the second side won, by each metric's `better` direction in
 BENCHMARK.json (null for a metric that file does not declare).
+
+Each end-to-end metric of BENCHMARK.json also gets its `bound`, both
+medians, the first side's IQR over its median (`parent_iqr_rel`, and likewise
+`change_iqr_rel`), and a `verdict` under the no-regression rule:
+  worse       the second side's median is worse than the first's by more
+              than the bound;
+  unresolved  otherwise, if either side's IQR over median exceeds the
+              bound and not every run of the second side beats every run
+              of the first;
+  within      otherwise.
+These rows are also printed as a table, one line per metric.
 """
 import argparse
 import json
@@ -75,7 +86,25 @@ def fold(runs):
     return out
 
 
-def compare(a_runs, b_runs, better):
+def iqr_rel(xs):
+    xs = sorted(xs)
+    median = quantile(xs, 0.5)
+    return (quantile(xs, 0.75) - quantile(xs, 0.25)) / median if median else None
+
+
+def verdict(xs, ys, sign, bound):
+    """The no-regression verdict of runs `ys` against runs `xs`; `sign` is 1
+    when higher is better, -1 when lower is."""
+    ma, mb = quantile(sorted(xs), 0.5), quantile(sorted(ys), 0.5)
+    if sign * (mb - ma) < -bound * abs(ma):
+        return "worse"
+    spread = max(iqr_rel(xs) or 0.0, iqr_rel(ys) or 0.0)
+    if spread > bound and not all(sign * (y - x) > 0 for x in xs for y in ys):
+        return "unresolved"
+    return "within"
+
+
+def compare(a_runs, b_runs, better, bounds):
     out = {}
     for key in sorted(set(a_runs) & set(b_runs)):
         a, b = a_runs[key], b_runs[key]
@@ -88,8 +117,32 @@ def compare(a_runs, b_runs, better):
             sign = {"lower": -1, "higher": 1}.get(better.get(metric))
             rows[metric] = {"ratio": mb / ma if ma else None, "pairs": len(pairs),
                             "wins": sum(sign * (y - x) > 0 for x, y in pairs) if sign else None}
+            if metric in bounds:
+                xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+                rows[metric].update(bound=bounds[metric], parent_median=ma, change_median=mb,
+                                    parent_iqr_rel=iqr_rel(xs),
+                                    change_iqr_rel=iqr_rel(ys),
+                                    verdict=verdict(xs, ys, sign, bounds[metric]))
         out.setdefault(key[0], {})[key[1]] = rows
     return out
+
+
+def table(compared):
+    """One line per end-to-end metric: medians, ratio, wins, bound, spreads
+    and verdict."""
+    fmt = "%-13s %-6s %-15s %11s %11s %6s %6s %5s %6s %6s  %s"
+    lines = [fmt % ("workload", "trace", "metric", "parent", "change", "ratio", "wins", "bound",
+                    "p_iqr", "c_iqr", "verdict")]
+    num = lambda x, f: "-" if x is None else f % x
+    for workload, traces in sorted(compared.items()):
+        for trace, rows in sorted(traces.items()):
+            for metric, r in sorted(rows.items()):
+                if "verdict" in r:
+                    lines.append(fmt % (
+                        workload, trace, metric, "%.4g" % r["parent_median"], "%.4g" % r["change_median"],
+                        num(r["ratio"], "%.3f"), "%d/%d" % (r["wins"], r["pairs"]), r["bound"],
+                        num(r["parent_iqr_rel"], "%.3f"), num(r["change_iqr_rel"], "%.3f"), r["verdict"]))
+    return "\n".join(lines)
 
 
 def main():
@@ -103,6 +156,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     loaded = [(s[0], s[1], s[2] if len(s) == 3 else git_sha(s[1]), load(s[1])) for s in a.side]
     result = {
@@ -111,8 +165,9 @@ def main():
     }
     if len(loaded) == 2:
         (a_name, _, _, a_runs), (b_name, _, _, b_runs) = loaded
-        result["compare"] = {"of": b_name, "to": a_name,
-                             "workloads": compare(a_runs, b_runs, better)}
+        compared = compare(a_runs, b_runs, better, bounds)
+        result["compare"] = {"of": b_name, "to": a_name, "workloads": compared}
+        print(table(compared))
     with open(a.out, "w") as f:
         json.dump(result, f, indent=1, sort_keys=True)
         f.write("\n")
